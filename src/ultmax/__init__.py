@@ -20,7 +20,7 @@ from .model import (
 )
 from .grids import Grid, Surface, default_z_max, truncation_tail_bound
 from .markov import ChainPath, TransitionMatrix, sample_chain, stationary_distribution, transition_matrix
-from .paths import PathBundle, XPath, iter_path_blocks, lift_to_x, simulate_paths
+from .paths import PathBundle, XPath, lift_to_x, simulate_paths
 from .stepping import GridTooCoarse
 from .gain import dG_dx, g_monte_carlo, g_pde, h_level, lg
 from .value import (

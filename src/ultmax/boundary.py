@@ -46,16 +46,15 @@ class Boundary:
     def is_sentinel(self) -> np.ndarray:
         return ~np.isfinite(self.b_raw)
 
-    def level_before(self, t: float, j: int, smoothed: bool = True) -> float:
-        """Boundary value at the latest grid time <= t (step interpolation).
+    def levels_at(self, times) -> np.ndarray:
+        """Smoothed levels at the latest grid time <= each of ``times``.
 
-        The backward-looking lookup never anticipates: with nonincreasing
-        boundaries it errs on the high side.
+        Returns a (len(times), m) array.  The backward-looking step lookup
+        never anticipates: with nonincreasing boundaries it errs on the high
+        side.
         """
-        k = int(np.searchsorted(self.grid.t, t + 1e-12, side="right")) - 1
-        k = min(max(k, 0), self.grid.n_t)
-        b = self.b_smoothed if smoothed else self.b_raw
-        return float(b[k, j])
+        k = np.searchsorted(self.grid.t, np.asarray(times, dtype=float) + 1e-12, side="right") - 1
+        return self.b_smoothed[np.clip(k, 0, self.grid.n_t)]
 
 
 def _median3(column: np.ndarray) -> np.ndarray:

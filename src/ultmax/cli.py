@@ -55,9 +55,13 @@ class PropertyCheckFailure(RuntimeError):
 
 
 def _fmt(v) -> str:
-    """12 significant digits; inf spelled out for sentinel levels."""
+    """12 significant digits; inf spelled out for sentinel levels.
+
+    Text holding a comma or a quote is quoted as RFC 4180 has it, so policy
+    names such as ``threshold(1.05,1.05)`` stay one field.
+    """
     if isinstance(v, str):
-        return v
+        return '"' + v.replace('"', '""') + '"' if "," in v or '"' in v else v
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     f = float(v)
@@ -84,17 +88,37 @@ def _write_manifest(out_dir: Path, entries: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _need(cfg: dict, section: str, key: str, kind, where: str):
-    if key not in cfg:
-        raise ConfigError(f"{where}.{key}: missing required key")
-    val = cfg[key]
-    if kind is float and isinstance(val, (int, float)) and not isinstance(val, bool):
-        return float(val)
-    if kind is int and isinstance(val, int) and not isinstance(val, bool):
-        return int(val)
-    if kind is list and isinstance(val, list):
-        return val
-    raise ConfigError(f"{where}.{key}: expected {kind.__name__}, got {type(val).__name__}")
+_REQUIRED = object()
+
+
+def _need(cfg: dict, path: str, kind, default=_REQUIRED, minimum=None):
+    """The config value at the dotted ``path``, checked to be a ``kind``.
+
+    Every config read goes through here, so a bad value is a ConfigError that
+    names its key.  An absent or null key gives ``default`` (an absent
+    section, all defaults); without a default the key is required.  A float
+    key accepts integers; no numeric key accepts a bool.
+    """
+    *sections, key = path.split(".")
+    sec = cfg
+    for depth, name in enumerate(sections):
+        sec = sec.get(name)
+        if sec is None:
+            sec = {}
+        elif not isinstance(sec, dict):
+            raise ConfigError(f"{'.'.join(sections[: depth + 1])}: expected a mapping, got {type(sec).__name__}")
+    val = sec.get(key)
+    if val is None:
+        if default is _REQUIRED:
+            raise ConfigError(f"{path}: missing required key")
+        return default
+    accepted = (int, float) if kind is float else kind
+    if not isinstance(val, accepted) or (isinstance(val, bool) and kind is not bool):
+        raise ConfigError(f"{path}: expected {kind.__name__}, got {type(val).__name__}")
+    val = kind(val)
+    if minimum is not None and val < minimum:
+        raise ConfigError(f"{path}: must be at least {minimum}, got {val}")
+    return val
 
 
 def load_config(path: str) -> dict:
@@ -115,13 +139,10 @@ def load_config(path: str) -> dict:
 
 
 def build_model(cfg: dict) -> RegimeModel:
-    sec = cfg.get("model")
-    if not isinstance(sec, dict):
-        raise ConfigError("model: missing section")
-    mu = _need(sec, "model", "mu", list, "model")
-    sigma = _need(sec, "model", "sigma", list, "model")
-    q = _need(sec, "model", "q", list, "model")
-    horizon = _need(sec, "model", "horizon", float, "model")
+    mu = _need(cfg, "model.mu", list)
+    sigma = _need(cfg, "model.sigma", list)
+    q = _need(cfg, "model.q", list)
+    horizon = _need(cfg, "model.horizon", float)
     try:
         return validate(RegimeModel(mu=mu, sigma=sigma, Q=q, T=horizon))
     except (ModelError, ValueError) as exc:
@@ -129,44 +150,39 @@ def build_model(cfg: dict) -> RegimeModel:
 
 
 def build_grid(cfg: dict, model: RegimeModel, n_t_override: int | None = None) -> Grid:
-    sec = cfg.get("grid", {}) or {}
-    n_x = int(sec.get("n_x", 400))
-    n_t = int(n_t_override if n_t_override is not None else sec.get("n_t", 200))
-    z_max = sec.get("z_max")
-    if n_x < 3 or n_t < 1:
-        raise ConfigError("grid: n_x must be >= 3 and n_t >= 1")
-    return Grid.for_model(model, n_x=n_x, n_t=n_t, z_max=None if z_max is None else float(z_max))
+    n_x = _need(cfg, "grid.n_x", int, 400, minimum=3)
+    n_t = n_t_override if n_t_override is not None else _need(cfg, "grid.n_t", int, 200, minimum=1)
+    try:
+        return Grid.for_model(model, n_x=n_x, n_t=n_t, z_max=_need(cfg, "grid.z_max", float, None))
+    except ValueError as exc:
+        raise ConfigError(f"grid: {exc}") from exc
+
+
+def run_seed(cfg: dict, seed_override: int | None, default=_REQUIRED) -> int:
+    """``--seed`` if given, else ``mc.seed`` (runs are never seeded from the clock)."""
+    return seed_override if seed_override is not None else _need(cfg, "mc.seed", int, default)
 
 
 def mc_settings(cfg: dict, seed_override: int | None) -> dict:
-    sec = cfg.get("mc")
-    if not isinstance(sec, dict):
-        raise ConfigError("mc: missing section")
-    if seed_override is None and "seed" not in sec:
-        raise ConfigError("mc.seed: missing required key (runs must be reproducible; no clock seeding)")
-    out = dict(
-        n_paths=_need(sec, "mc", "n_paths", int, "mc"),
-        n_steps=int(sec.get("n_steps", 250)),
-        seed=int(seed_override if seed_override is not None else sec["seed"]),
-        bridge_max=bool(sec.get("bridge_max", True)),
+    return dict(
+        n_paths=_need(cfg, "mc.n_paths", int, minimum=1),
+        n_steps=_need(cfg, "mc.n_steps", int, 250, minimum=1),
+        seed=run_seed(cfg, seed_override),
+        bridge_max=_need(cfg, "mc.bridge_max", bool, True),
     )
-    if out["n_paths"] < 1 or out["n_steps"] < 1:
-        raise ConfigError("mc: n_paths and n_steps must be at least 1")
-    return out
 
 
 def tolerance_settings(cfg: dict) -> dict:
-    sec = cfg.get("tolerances", {}) or {}
     return dict(
-        tol_abs=float(sec.get("tol_abs") or pinned.TOL_ABS_DEFAULT),
-        eps_sign=float(sec.get("eps_sign") or pinned.EPS_SIGN_DEFAULT),
+        tol_abs=_need(cfg, "tolerances.tol_abs", float, pinned.TOL_ABS_DEFAULT, minimum=0.0),
+        eps_sign=_need(cfg, "tolerances.eps_sign", float, pinned.EPS_SIGN_DEFAULT, minimum=0.0),
     )
 
 
-def _regime_index(cfg_value, m: int, where: str) -> int:
-    j = int(cfg_value)
-    if not 1 <= j <= m:
-        raise ConfigError(f"{where}: regime label {j} outside 1..{m}")
+def _start_regime(cfg: dict, m: int) -> int:
+    j = _need(cfg, "eval.start_regime", int, 1, minimum=1)
+    if j > m:
+        raise ConfigError(f"eval.start_regime: regime label {j} outside 1..{m}")
     return j - 1
 
 
@@ -305,7 +321,7 @@ def cmd_solve(args, cfg, out_dir):
     model = build_model(cfg)
     grid = build_grid(cfg, model)
     tols = tolerance_settings(cfg)
-    seed = args.seed if args.seed is not None else (cfg.get("mc", {}) or {}).get("seed", 0)
+    seed = run_seed(cfg, args.seed, 0)
     surface_g, surfaces = _solve_all(model, grid)
     surface_d = dG_dx(surface_g, grid)
     surface_lg = lg(surface_g, surface_d, model, grid)
@@ -327,7 +343,7 @@ def cmd_boundary(args, cfg, out_dir):
     model = build_model(cfg)
     grid = build_grid(cfg, model)
     tols = tolerance_settings(cfg)
-    seed = args.seed if args.seed is not None else (cfg.get("mc", {}) or {}).get("seed", 0)
+    seed = run_seed(cfg, args.seed, 0)
     _, surfaces = _solve_all(model, grid)
     boundary = extract_boundary(surfaces, tols["tol_abs"])
     _write_csv(out_dir / "boundary.csv", ["t", "j", "b_raw", "b_smoothed", "is_sentinel"], _boundary_rows(boundary))
@@ -364,9 +380,8 @@ def cmd_volterra(args, cfg, out_dir):
     grid = build_grid(cfg, model)
     mc = mc_settings(cfg, args.seed)
     tols = tolerance_settings(cfg)
-    sec = cfg.get("volterra", {}) or {}
-    n_quad = int(sec.get("n_quad", 64))
-    report_every = int(sec.get("report_every", 10))
+    n_quad = _need(cfg, "volterra.n_quad", int, 64, minimum=1)
+    report_every = _need(cfg, "volterra.report_every", int, 10, minimum=1)
     _, surfaces = _solve_all(model, grid)
     boundary = extract_boundary(surfaces, tols["tol_abs"])
     rep = volterra_residual(
@@ -388,8 +403,7 @@ def cmd_volterra(args, cfg, out_dir):
 
 
 def _build_policies(cfg, model, surfaces, tols):
-    sec = cfg.get("eval", {}) or {}
-    names = sec.get("policies", ["boundary", "immediate", "at_maturity"])
+    names = _need(cfg, "eval.policies", list, ["boundary", "immediate", "at_maturity"])
     policies = []
     need_boundary = any(p == "boundary" for p in names)
     boundary = extract_boundary(surfaces, tols["tol_abs"]) if need_boundary else None
@@ -401,9 +415,16 @@ def _build_policies(cfg, model, surfaces, tols):
         elif p == "at_maturity":
             policies.append(Policy.at_maturity())
         elif isinstance(p, dict) and "threshold" in p:
-            policies.append(Policy.fixed_threshold(p["threshold"]))
+            try:
+                policies.append(Policy.fixed_threshold(p["threshold"]))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"eval.policies: {p!r}: {exc}") from exc
+            if policies[-1].levels.shape[0] != model.m:
+                raise ConfigError(f"eval.policies: {p!r}: need one threshold level per regime")
         else:
             raise ConfigError(f"eval.policies: unknown policy {p!r}")
+    if not policies:
+        raise ConfigError("eval.policies: empty list")
     return policies
 
 
@@ -412,8 +433,7 @@ def cmd_eval(args, cfg, out_dir):
     grid = build_grid(cfg, model)
     mc = mc_settings(cfg, args.seed)
     tols = tolerance_settings(cfg)
-    sec = cfg.get("eval", {}) or {}
-    j0 = _regime_index(sec.get("start_regime", 1), model.m, "eval.start_regime")
+    j0 = _start_regime(cfg, model.m)
     _, surfaces = _solve_all(model, grid)
     policies = _build_policies(cfg, model, surfaces, tols)
     if len(policies) == 1:
@@ -446,7 +466,7 @@ def cmd_figure(args, cfg, out_dir):
     model = validate(pinned.make_model(pinned.FIGURE_MODEL))
     grid = build_grid(cfg, model, n_t_override=pinned.FIGURE_N_T)
     tols = tolerance_settings(cfg)
-    seed = args.seed if args.seed is not None else (cfg.get("mc", {}) or {}).get("seed", 0)
+    seed = run_seed(cfg, args.seed, 0)
     _, surfaces = _solve_all(model, grid)
     boundary = extract_boundary(surfaces, tols["tol_abs"])
 
@@ -483,7 +503,7 @@ COMMANDS = {
 def run(subcommand: str, args) -> int:
     try:
         cfg = load_config(args.config)
-        out_dir = Path(args.out if args.out is not None else cfg.get("outputs", "."))
+        out_dir = Path(args.out if args.out is not None else _need(cfg, "outputs", str, "."))
         out_dir.mkdir(parents=True, exist_ok=True)
         return COMMANDS[subcommand](args, cfg, out_dir)
     except ConfigError as exc:

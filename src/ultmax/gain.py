@@ -23,7 +23,7 @@ import numpy as np
 
 from .grids import Grid, Surface
 from .model import ValidatedModel
-from .paths import reduce_terminal
+from .paths import mean_se, reduce_terminal
 from .stepping import BackwardStepper
 
 __all__ = ["g_monte_carlo", "g_pde", "dG_dx", "lg", "h_level"]
@@ -59,12 +59,7 @@ def g_monte_carlo(
         g = np.exp(np.maximum(logx, ymaxlog))
         return np.array([g.sum(), (g * g).sum(), g.shape[0]])
 
-    totals = np.sum(
-        reduce_terminal(model, t, j, n_paths, n_steps, seed, bridge_max, block_stats), axis=0
-    )
-    mean = totals[0] / totals[2]
-    var = max(totals[1] / totals[2] - mean**2, 0.0)
-    return float(mean), float(np.sqrt(var / totals[2]))
+    return mean_se(*np.sum(reduce_terminal(model, t, j, n_paths, n_steps, seed, bridge_max, block_stats), axis=0))
 
 
 def g_pde(model: ValidatedModel, grid: Grid) -> Surface:

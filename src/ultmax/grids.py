@@ -115,11 +115,3 @@ class Surface:
     values: np.ndarray  # (n_t + 1, n_x, m)
     meta: str
     info: dict = field(default_factory=dict)
-
-    def slice_t(self, k: int) -> np.ndarray:
-        return self.values[k]
-
-    def interp_z(self, k: int, x: float, j: int, grid: Grid) -> float:
-        """Linear interpolation in z at a fixed time node and regime."""
-        z = np.log(x)
-        return float(np.interp(z, grid.z, self.values[k, :, j]))

@@ -12,13 +12,16 @@ levels exponentiate once at the end.
 
 Randomness: every (block, step) pair gets its own generator derived from the
 root seed, so results do not depend on how blocks are scheduled, and the
-draws for a step never influence earlier steps.
+draws for a step never influence earlier steps.  Every simulation runs
+through :func:`map_blocks`, the one owner of the block partition and of the
+order in which block results come back; :func:`mean_se` is the one reducer
+from summed moments to (mean, standard error).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -30,7 +33,8 @@ __all__ = [
     "XPath",
     "simulate_paths",
     "lift_to_x",
-    "iter_path_blocks",
+    "map_blocks",
+    "mean_se",
     "reduce_terminal",
     "BLOCK_SIZE",
 ]
@@ -146,26 +150,30 @@ def _block_sizes(n_paths: int):
     return sizes
 
 
-def _materialize(model, t0, j0, n_paths, n_steps, seed, bridge_max, offset_blocks):
-    times = np.linspace(t0, model.T, n_steps + 1)
-    sizes = _block_sizes(n_paths)
-    states = np.empty((n_steps + 1, n_paths), dtype=np.int16)
-    y = np.empty((n_steps + 1, n_paths))
-    ymax = np.empty((n_steps + 1, n_paths))
+def map_blocks(model, times, j0, n_paths, seed, bridge_max, block):
+    """Simulate n_paths from regime j0 on ``times`` block by block.
+
+    The one owner of the block partition: block b holds paths
+    [lo, lo + size) and draws from the streams of (seed, b, step).
+    ``block(lo, size)`` returns ``(on_step, finish)``; ``on_step`` (or None)
+    is passed to the block's step loop, and ``finish(state, log_y, log_ymax)``
+    maps its final slice to a result.  Results come back in block order, so
+    sums over them have a fixed reduction order.
+    """
+    out = []
     lo = 0
-    for b, size in enumerate(sizes):
-        sl = slice(lo, lo + size)
-
-        def record(k, st, yl, ml):
-            states[k, sl] = st
-            y[k, sl] = yl
-            ymax[k, sl] = ml
-
-        _advance_block(model, times, j0, size, seed, b + offset_blocks, bridge_max, record)
+    for b, size in enumerate(_block_sizes(n_paths)):
+        on_step, finish = block(lo, size)
+        out.append(finish(*_advance_block(model, times, j0, size, seed, b, bridge_max, on_step)))
         lo += size
-    np.exp(y, out=y)
-    np.exp(ymax, out=ymax)
-    return PathBundle(n_paths, n_steps, times, states.T, y.T, ymax.T, int(seed))
+    return out
+
+
+def mean_se(total, total_sq, n) -> tuple[float, float]:
+    """(mean, standard error of the mean) from a sum, a sum of squares and n."""
+    mean = total / n
+    var = max(total_sq / n - mean**2, 0.0)
+    return float(mean), float(np.sqrt(var / n))
 
 
 def simulate_paths(
@@ -186,25 +194,25 @@ def simulate_paths(
         raise ValueError("t0 must be strictly before the horizon")
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
-    return _materialize(model, t0, j0, n_paths, n_steps, seed, bridge_max, 0)
+    times = np.linspace(t0, model.T, n_steps + 1)
+    states = np.empty((n_steps + 1, n_paths), dtype=np.int16)
+    y = np.empty((n_steps + 1, n_paths))
+    ymax = np.empty((n_steps + 1, n_paths))
 
+    def block(lo, size):
+        sl = slice(lo, lo + size)
 
-def iter_path_blocks(
-    model: ValidatedModel,
-    t0: float,
-    j0: int,
-    n_paths: int,
-    n_steps: int,
-    seed,
-    bridge_max: bool = False,
-) -> Iterator[PathBundle]:
-    """Yield the simulation of :func:`simulate_paths` as per-block bundles.
+        def record(k, st, yl, ml):
+            states[k, sl] = st
+            y[k, sl] = yl
+            ymax[k, sl] = ml
 
-    Identical values in identical path order, but with bounded memory;
-    estimators reduce block by block.
-    """
-    for b, size in enumerate(_block_sizes(n_paths)):
-        yield _materialize(model, t0, j0, size, n_steps, seed, bridge_max, b)
+        return record, lambda *final: None
+
+    map_blocks(model, times, j0, n_paths, seed, bridge_max, block)
+    np.exp(y, out=y)
+    np.exp(ymax, out=ymax)
+    return PathBundle(n_paths, n_steps, times, states.T, y.T, ymax.T, int(seed))
 
 
 def reduce_terminal(
@@ -221,15 +229,10 @@ def reduce_terminal(
     """Apply ``fn(state, log_y, log_ymax)`` to the final slice of each block.
 
     Simulates on [t0, t_end] (the horizon by default).  Returns per-block
-    results in block order (fixed reduction order, so sums over blocks are
-    reproducible regardless of scheduling).
+    results in block order, as :func:`map_blocks` does.
     """
     times = np.linspace(t0, model.T if t_end is None else t_end, n_steps + 1)
-    out = []
-    for b, size in enumerate(_block_sizes(n_paths)):
-        state, ylog, ymaxlog = _advance_block(model, times, j0, size, seed, b, bridge_max)
-        out.append(fn(state, ylog, ymaxlog))
-    return out
+    return map_blocks(model, times, j0, n_paths, seed, bridge_max, lambda lo, size: (None, fn))
 
 
 def lift_to_x(bundle: PathBundle, x0: float) -> XPath:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .boundary import Boundary
 from .model import ValidatedModel
-from .paths import _advance_block, _block_sizes
+from .paths import map_blocks, mean_se
 
 __all__ = ["Policy", "RegretEstimate", "PairedComparison", "evaluate_policy", "compare_policies"]
 
@@ -98,11 +98,8 @@ def _stop_log_levels(policy: Policy, model: ValidatedModel, times: np.ndarray) -
         b = policy.boundary
         if abs(b.grid.t[-1] - times[-1]) > 1e-12:
             raise ValueError("boundary horizon does not match the model horizon")
-        for k, t in enumerate(times):
-            idx = int(np.searchsorted(b.grid.t, t + 1e-12, side="right")) - 1
-            idx = min(max(idx, 0), b.grid.n_t)
-            with np.errstate(divide="ignore"):
-                thr[k] = np.log(b.b_smoothed[idx])
+        with np.errstate(divide="ignore"):
+            thr[:] = np.log(b.levels_at(times))
     else:
         raise ValueError(f"unknown policy kind {policy.kind!r}")
     thr[n_steps] = -np.inf
@@ -110,17 +107,13 @@ def _stop_log_levels(policy: Policy, model: ValidatedModel, times: np.ndarray) -
 
 
 def _regret_pass(model, policies, j0, n_paths, n_steps, seed, bridge_max):
-    """One streaming pass producing per-policy regret sums and pairwise stats."""
+    """One streaming pass: per-policy regret sums and sums of squares, and
+    the same for every pairwise difference, summed over blocks in order."""
     times = np.linspace(0.0, model.T, n_steps + 1)
     thresholds = [_stop_log_levels(p, model, times) for p in policies]
     P = len(policies)
-    sums = np.zeros(P)
-    sumsq = np.zeros(P)
-    pair_sum = np.zeros((P, P))
-    pair_sumsq = np.zeros((P, P))
-    total = 0
 
-    for b, size in enumerate(_block_sizes(n_paths)):
+    def block(lo, size):
         stopped = np.zeros((P, size), dtype=bool)
         log_y_tau = np.zeros((P, size))
 
@@ -134,16 +127,15 @@ def _regret_pass(model, policies, j0, n_paths, n_steps, seed, bridge_max):
                     log_y_tau[p][newly] = ylog[newly]
                     stopped[p][newly] = True
 
-        _, _, final_ymaxlog = _advance_block(model, times, j0, size, seed, b, bridge_max, on_step)
-        regrets = np.exp(final_ymaxlog[None, :] - log_y_tau)
-        sums += regrets.sum(axis=1)
-        sumsq += (regrets**2).sum(axis=1)
-        d = regrets[:, None, :] - regrets[None, :, :]
-        pair_sum += d.sum(axis=2)
-        pair_sumsq += (d**2).sum(axis=2)
-        total += size
+        def finish(state, ylog, ymaxlog):
+            regrets = np.exp(ymaxlog[None, :] - log_y_tau)
+            d = regrets[:, None, :] - regrets[None, :, :]
+            return regrets.sum(axis=1), (regrets**2).sum(axis=1), d.sum(axis=2), (d**2).sum(axis=2)
 
-    return sums, sumsq, pair_sum, pair_sumsq, total
+        return on_step, finish
+
+    blocks = map_blocks(model, times, j0, n_paths, seed, bridge_max, block)
+    return tuple(sum(parts) for parts in zip(*blocks))
 
 
 def evaluate_policy(
@@ -156,10 +148,8 @@ def evaluate_policy(
     bridge_max: bool = True,
 ) -> RegretEstimate:
     """Monte Carlo regret of one policy started at t = 0, ratio 1, regime j0."""
-    sums, sumsq, _, _, n = _regret_pass(model, [policy], j0, n_paths, n_steps, seed, bridge_max)
-    mean = sums[0] / n
-    var = max(sumsq[0] / n - mean**2, 0.0)
-    return RegretEstimate(float(mean), float(np.sqrt(var / n)), n, policy)
+    sums, sumsq, _, _ = _regret_pass(model, [policy], j0, n_paths, n_steps, seed, bridge_max)
+    return RegretEstimate(*mean_se(sums[0], sumsq[0], n_paths), n_paths, policy)
 
 
 def compare_policies(
@@ -178,21 +168,13 @@ def compare_policies(
     """
     if len(policies) < 2:
         raise ValueError("need at least two policies to compare")
-    sums, sumsq, pair_sum, pair_sumsq, n = _regret_pass(
-        model, list(policies), j0, n_paths, n_steps, seed, bridge_max
-    )
-    estimates = []
-    for p, pol in enumerate(policies):
-        mean = sums[p] / n
-        var = max(sumsq[p] / n - mean**2, 0.0)
-        estimates.append(RegretEstimate(float(mean), float(np.sqrt(var / n)), n, pol))
-    pairs = []
-    for a in range(len(policies)):
-        for b in range(a + 1, len(policies)):
-            dm = pair_sum[a, b] / n
-            dvar = max(pair_sumsq[a, b] / n - dm**2, 0.0)
-            pairs.append(
-                PairedComparison(policies[a].name(), policies[b].name(), float(dm), float(np.sqrt(dvar / n)))
-            )
+    sums, sumsq, pair_sum, pair_sumsq = _regret_pass(model, list(policies), j0, n_paths, n_steps, seed, bridge_max)
+    n = n_paths
+    estimates = [RegretEstimate(*mean_se(sums[p], sumsq[p], n), n, pol) for p, pol in enumerate(policies)]
+    pairs = [
+        PairedComparison(policies[a].name(), policies[b].name(), *mean_se(pair_sum[a, b], pair_sumsq[a, b], n))
+        for a in range(len(policies))
+        for b in range(a + 1, len(policies))
+    ]
     order = np.argsort([e.mean for e in estimates], kind="stable")
     return [estimates[i] for i in order], pairs

@@ -52,14 +52,15 @@ class ValueSurfaces:
     grid: Grid
     model: ValidatedModel
 
-    def value_stepper(self) -> BackwardStepper:
-        m = self.model
-        return BackwardStepper(m, self.grid, advection=0.5 * m.sigma**2 - m.mu, reaction=np.zeros(m.m))
+    @staticmethod
+    def value_stepper(model: ValidatedModel, grid: Grid) -> BackwardStepper:
+        """The linear step of the value solve: advection sigma^2/2 - mu, no reaction."""
+        return BackwardStepper(model, grid, advection=0.5 * model.sigma**2 - model.mu, reaction=np.zeros(model.m))
 
 
 def solve_value(model: ValidatedModel, grid: Grid, surface_g: Surface) -> ValueSurfaces:
     """Backward sweep with projection onto the obstacle V <= G."""
-    stepper = BackwardStepper(model, grid, advection=0.5 * model.sigma**2 - model.mu, reaction=np.zeros(model.m))
+    stepper = ValueSurfaces.value_stepper(model, grid)
     g = surface_g.values
     v = np.empty_like(g)
     v[-1] = grid.x[:, None]
@@ -79,7 +80,7 @@ def discrete_generator_image(surfaces: ValueSurfaces) -> np.ndarray:
     other regimes have not stopped.
     """
     grid = surfaces.grid
-    stepper = surfaces.value_stepper()
+    stepper = ValueSurfaces.value_stepper(surfaces.model, grid)
     v = surfaces.V.values
     out = np.empty((grid.n_t, grid.n_x, grid.m))
     Q = surfaces.model.Q

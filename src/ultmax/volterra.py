@@ -28,7 +28,7 @@ import numpy as np
 from .boundary import Boundary
 from .markov import derive_seed
 from .model import ValidatedModel
-from .paths import _advance_block, _block_sizes, reduce_terminal
+from .paths import map_blocks, mean_se, reduce_terminal
 from .value import ValueSurfaces, discrete_generator_image
 
 __all__ = ["VolterraReport", "estimate_J", "estimate_K", "volterra_residual", "LVInterpolator"]
@@ -92,20 +92,7 @@ def estimate_J(
         xr = np.exp(np.maximum(logx, ymaxlog) - ylog)
         return np.array([xr.sum(), (xr * xr).sum(), xr.shape[0]])
 
-    tot = np.sum(reduce_terminal(model, t, j, n_paths, n_steps, seed, bridge_max, stats), axis=0)
-    mean = tot[0] / tot[2]
-    var = max(tot[1] / tot[2] - mean**2, 0.0)
-    return float(mean), float(np.sqrt(var / tot[2]))
-
-
-def _boundary_at_times(boundary: Boundary, times: np.ndarray) -> np.ndarray:
-    """Smoothed boundary at arbitrary times by backward-looking step lookup."""
-    out = np.empty((times.shape[0], boundary.grid.m))
-    for q, r in enumerate(times):
-        idx = int(np.searchsorted(boundary.grid.t, r + 1e-12, side="right")) - 1
-        idx = min(max(idx, 0), boundary.grid.n_t)
-        out[q] = boundary.b_smoothed[idx]
-    return out
+    return mean_se(*np.sum(reduce_terminal(model, t, j, n_paths, n_steps, seed, bridge_max, stats), axis=0))
 
 
 def estimate_K(
@@ -130,7 +117,7 @@ def estimate_K(
     if not t <= r <= model.T:
         raise ValueError("need t <= r <= horizon")
     lv = LVInterpolator(surfaces)
-    b_here = _boundary_at_times(boundary, np.array([r]))[0]
+    b_here = boundary.levels_at([r])[0]
     if r == t:
         val = float(lv(t, np.array([np.log(x)]), np.array([j]))[0]) if x > b_here[j] else 0.0
         return val, 0.0
@@ -143,12 +130,9 @@ def estimate_K(
         vals = lv(r, xlog, state) * (np.exp(xlog) > b_here[state])
         return np.array([vals.sum(), (vals * vals).sum(), vals.shape[0]])
 
-    tot = np.sum(
-        reduce_terminal(model, t, j, n_paths, n_steps, seed, bridge_max, stats, t_end=r), axis=0
+    return mean_se(
+        *np.sum(reduce_terminal(model, t, j, n_paths, n_steps, seed, bridge_max, stats, t_end=r), axis=0)
     )
-    mean = tot[0] / tot[2]
-    var = max(tot[1] / tot[2] - mean**2, 0.0)
-    return float(mean), float(np.sqrt(var / tot[2]))
 
 
 @dataclass
@@ -192,8 +176,7 @@ def volterra_residual(
     grid = surfaces.grid
     lv = LVInterpolator(surfaces)
     g = surfaces.G.values
-    rows = {k: [] for k in
-            ("t", "regime", "level", "lhs", "J", "J_se", "K_integral", "K_se", "residual", "relative_residual")}
+    rows = []
 
     for k in range(0, grid.n_t + 1, report_every):
         t_k = grid.t[k]
@@ -209,12 +192,10 @@ def volterra_residual(
                 weights = np.full(n_quad + 1, (model.T - t_k) / n_quad)
                 weights[0] *= 0.5
                 weights[-1] *= 0.5
-                b_at = _boundary_at_times(boundary, times)
+                b_at = boundary.levels_at(times)
                 logb0 = np.log(b0)
-                sub_seed = derive_seed(seed, k, j)
 
-                sums = np.zeros(5)  # J, J^2, K, K^2, n
-                for blk, size in enumerate(_block_sizes(n_paths)):
+                def block(lo, size):
                     xlog_path = np.empty((n_quad + 1, size))
                     state_path = np.empty((n_quad + 1, size), dtype=np.int16)
 
@@ -222,44 +203,25 @@ def volterra_residual(
                         xlog_path[q] = np.maximum(logb0, ymaxlog) - ylog
                         state_path[q] = state
 
-                    _advance_block(model, times, j, size, sub_seed, blk, bridge_max, on_step)
-                    kint = np.zeros(size)
-                    for q in range(n_quad + 1):
-                        vals = lv(times[q], xlog_path[q], state_path[q])
-                        vals *= np.exp(xlog_path[q]) > b_at[q, state_path[q]]
-                        kint += weights[q] * vals
-                    xT = np.exp(xlog_path[-1])
-                    sums += np.array(
-                        [xT.sum(), (xT * xT).sum(), kint.sum(), (kint * kint).sum(), size]
-                    )
-                n = sums[4]
-                J_m = sums[0] / n
-                J_s = np.sqrt(max(sums[1] / n - J_m**2, 0.0) / n)
-                K_m = sums[2] / n
-                K_s = np.sqrt(max(sums[3] / n - K_m**2, 0.0) / n)
+                    def finish(*_final):
+                        kint = np.zeros(size)
+                        for q in range(n_quad + 1):
+                            vals = lv(times[q], xlog_path[q], state_path[q])
+                            vals *= np.exp(xlog_path[q]) > b_at[q, state_path[q]]
+                            kint += weights[q] * vals
+                        xT = np.exp(xlog_path[-1])
+                        return np.array([xT.sum(), (xT * xT).sum(), kint.sum(), (kint * kint).sum(), size])
+
+                    return on_step, finish
+
+                sums = sum(map_blocks(model, times, j, n_paths, derive_seed(seed, k, j), bridge_max, block))
+                J_m, J_s = mean_se(sums[0], sums[1], sums[4])
+                K_m, K_s = mean_se(sums[2], sums[3], sums[4])
 
             res = lhs - (J_m - K_m)
-            rows["t"].append(t_k)
-            rows["regime"].append(j)
-            rows["level"].append(float(b0))
-            rows["lhs"].append(lhs)
-            rows["J"].append(float(J_m))
-            rows["J_se"].append(float(J_s))
-            rows["K_integral"].append(float(K_m))
-            rows["K_se"].append(float(K_s))
-            rows["residual"].append(float(res))
-            rows["relative_residual"].append(float(res / lhs))
+            rows.append((t_k, j, b0, lhs, J_m, J_s, K_m, K_s, res, res / lhs))
 
-    return VolterraReport(
-        t=np.asarray(rows["t"]),
-        regime=np.asarray(rows["regime"], dtype=int),
-        level=np.asarray(rows["level"]),
-        lhs=np.asarray(rows["lhs"]),
-        J=np.asarray(rows["J"]),
-        J_se=np.asarray(rows["J_se"]),
-        K_integral=np.asarray(rows["K_integral"]),
-        K_se=np.asarray(rows["K_se"]),
-        residual=np.asarray(rows["residual"]),
-        relative_residual=np.asarray(rows["relative_residual"]),
-        n_extrapolated=lv.n_extrapolated,
-    )
+    names = ("t", "regime", "level", "lhs", "J", "J_se", "K_integral", "K_se", "residual", "relative_residual")
+    cols = dict(zip(names, np.array(rows, dtype=float).reshape(-1, len(names)).T))
+    cols["regime"] = cols["regime"].astype(int)
+    return VolterraReport(**cols, n_extrapolated=lv.n_extrapolated)

@@ -125,8 +125,7 @@ def test_level_lookup_is_backward_looking(fig):
     grid, S = fig
     b = extract_boundary(S, pinned.TOL_ABS_DEFAULT)
     t_mid = 0.5 * (grid.t[10] + grid.t[11])
-    assert b.level_before(t_mid, 0) == b.b_smoothed[10, 0]
-    assert b.level_before(grid.t[11], 0) == b.b_smoothed[11, 0]
+    assert np.array_equal(b.levels_at([t_mid, grid.t[11]]), b.b_smoothed[[10, 11]])
 
 
 def test_median_smoothing_kills_single_spikes():

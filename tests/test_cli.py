@@ -1,3 +1,4 @@
+import csv
 import filecmp
 from pathlib import Path
 
@@ -180,3 +181,47 @@ def test_csv_number_format_is_12_significant_digits(config, tmp_path):
     assert any(len(v.replace(".", "").replace("-", "").lstrip("0")) >= 11
                for line in (out / "value_surface.csv").read_text().splitlines()[1:50]
                for v in line.split(",")[3:4])
+
+
+@pytest.mark.parametrize(
+    "sub, old, new, key",
+    [
+        ("solve", "  n_x: 120", '  n_x: "sixty"', "grid.n_x"),
+        ("volterra", "report_every: 30", "report_every: 0", "volterra.report_every"),
+        ("volterra", "n_quad: 8", "n_quad: 0", "volterra.n_quad"),
+        ("eval", "  seed: 4242", '  seed: 4242\n  bridge_max: "false"', "mc.bridge_max"),
+        ("eval", '"at_maturity"]', '"at_maturity", {threshold: [1.05]}]', "eval.policies"),
+        ("eval", '["boundary", "immediate", "at_maturity"]', "[]", "eval.policies"),
+    ],
+    ids=["n_x_text", "report_every_0", "n_quad_0", "bridge_max_text", "threshold_count", "no_policies"],
+)
+def test_bad_config_value_exits_2_naming_the_key(config, tmp_path, capsys, sub, old, new, key):
+    bad = config.parent / "badval.yaml"
+    bad.write_text(config.read_text().replace(old, new))
+    assert bad.read_text() != config.read_text()
+    assert run_cli(sub, bad, tmp_path / "badval") == 2
+    assert key in capsys.readouterr().err
+
+
+def test_explicit_zero_tolerances_are_kept(config, tmp_path):
+    exact = config.parent / "exact.yaml"
+    exact.write_text(config.read_text() + "tolerances: {tol_abs: 0, eps_sign: 0}\n")
+    out = tmp_path / "exact"
+    assert run_cli("boundary", exact, out) == 0
+    manifest = (out / "run_manifest.txt").read_text().splitlines()
+    assert "tol_abs=0" in manifest and "eps_sign=0" in manifest
+
+
+def test_eval_csvs_parse_with_a_csv_reader(config, tmp_path):
+    thr = config.parent / "thr.yaml"
+    thr.write_text(config.read_text().replace('"at_maturity"]', '"at_maturity", {threshold: [1.05, 1.05]}]'))
+    out = tmp_path / "thr"
+    assert run_cli("eval", thr, out) == 0
+    for name in ("eval.csv", "eval_pairs.csv"):
+        with open(out / name, newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert len(rows) == (4 if name == "eval.csv" else 6)
+        assert all(len(row) == len(header) for row in rows), name
+        assert "threshold(1.05,1.05)" in {field for row in rows for field in row}
+    with open(out / "eval.csv", newline="") as fh:
+        assert all(int(row["n_paths"]) == 8000 for row in csv.DictReader(fh))

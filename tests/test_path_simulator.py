@@ -3,7 +3,7 @@ import pytest
 from scipy.stats import norm
 
 from ultmax.model import RegimeModel, validate
-from ultmax.paths import PathBundle, iter_path_blocks, lift_to_x, reduce_terminal, simulate_paths
+from ultmax.paths import BLOCK_SIZE, PathBundle, lift_to_x, reduce_terminal, simulate_paths
 
 FIG = validate(RegimeModel(mu=[0.15, 0.05], sigma=[0.5, 0.3], Q=[[-2.5, 2.5], [2.0, -2.0]], T=0.5))
 SINGLE = validate(RegimeModel(mu=[0.05], sigma=[0.3], Q=[[0.0]], T=1.0))
@@ -52,8 +52,12 @@ def test_simulation_is_deterministic_and_blockwise_consistent():
     a = simulate_paths(FIG, 0.0, 0, 80_000, 40, seed=9, bridge_max=True)
     b = simulate_paths(FIG, 0.0, 0, 80_000, 40, seed=9, bridge_max=True)
     assert np.array_equal(a.y, b.y) and np.array_equal(a.states, b.states)
-    stacked = np.vstack([blk.y for blk in iter_path_blocks(FIG, 0.0, 0, 80_000, 40, 9, True)])
-    assert np.array_equal(stacked, a.y)
+    # 80 000 paths are one full block and a partial one; the streaming
+    # reduction sees the same final levels, block by block in path order.
+    assert BLOCK_SIZE < 80_000 < 2 * BLOCK_SIZE
+    final = reduce_terminal(FIG, 0.0, 0, 80_000, 40, 9, True, lambda st_, yl, ml: yl)
+    assert [blk.shape[0] for blk in final] == [BLOCK_SIZE, 80_000 - BLOCK_SIZE]
+    assert np.array_equal(np.exp(np.concatenate(final)), a.y[:, -1])
 
 
 def test_lift_to_x_trivial_cases():

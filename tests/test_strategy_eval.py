@@ -7,7 +7,7 @@ from ultmax.boundary import extract_boundary
 from ultmax.gain import g_pde
 from ultmax.grids import Grid
 from ultmax.markov import derive_rng
-from ultmax.model import validate
+from ultmax.model import RegimeModel, validate
 from ultmax.paths import lift_to_x, simulate_paths
 from ultmax.strategy import Policy, compare_policies, evaluate_policy
 from ultmax.value import solve_value
@@ -35,10 +35,9 @@ def reference_regrets(model, policy, j0, n_paths, n_steps, seed):
         tau_idx[:] = 0
     elif policy.kind == "boundary":
         hit = np.zeros(n, dtype=bool)
+        levels = policy.boundary.levels_at(bundle.times)
         for k in range(bundle.n_steps + 1):
-            t = bundle.times[k]
-            levels = np.array([policy.boundary.level_before(t, j) for j in range(model.m)])
-            now = (x[:, k] >= levels[bundle.states[:, k]]) & ~hit
+            now = (x[:, k] >= levels[k, bundle.states[:, k]]) & ~hit
             tau_idx[now] = k
             hit |= now
     elif policy.kind == "fixed_threshold":
@@ -131,6 +130,37 @@ def test_doubling_steps_moves_regret_within_budget(fig_solution):
     a = evaluate_policy(FIG, pol, 0, 200_000, 250, seed=42)
     b = evaluate_policy(FIG, pol, 0, 200_000, 500, seed=43)
     assert abs(a.mean - b.mean) <= 3.0 * np.hypot(a.std_error, b.std_error) + pinned.TOL_POLICY
+
+
+def test_three_regimes_boundary_policy_dominates():
+    # Third regime has zero drift, so its boundary sits at the floor and the
+    # boundary rule stops at once there, path for path like `immediate`.
+    model = validate(
+        RegimeModel(
+            mu=[0.15, 0.05, 0.0],
+            sigma=[0.5, 0.3, 0.4],
+            Q=[[-2.5, 1.5, 1.0], [1.0, -2.0, 1.0], [0.5, 0.5, -1.0]],
+            T=0.5,
+        )
+    )
+    grid = Grid.for_model(model, n_x=120, n_t=60)
+    S = solve_value(model, grid, g_pde(model, grid))
+    boundary = extract_boundary(S, pinned.TOL_ABS_DEFAULT)
+    assert np.all(boundary.b_smoothed[:, 2] == 1.0)
+    pols = [Policy.from_boundary(boundary), Policy.immediate(), Policy.at_maturity()]
+    for j0 in range(3):
+        ests, pairs = compare_policies(model, pols, j0, 70_000, 60, seed=3000 + j0)
+        est = {e.policy.kind: e for e in ests}
+        vs = {p.policy_b: p for p in pairs if p.policy_a == "boundary"}
+        if j0 < 2:
+            for other in ("immediate", "at_maturity"):
+                assert vs[other].diff < -3.0 * vs[other].diff_se, (j0, other)
+        else:
+            assert vs["immediate"].diff == 0.0 and vs["immediate"].diff_se == 0.0
+        imm = est["immediate"]
+        assert abs(imm.mean - S.G.values[0, 0, j0]) <= 3.0 * imm.std_error + pinned.C_PDE_MC * (grid.dz**2 + grid.dt)
+        bnd = est["boundary"]
+        assert bnd.mean >= S.V.values[0, 0, j0] - 3.0 * bnd.std_error - pinned.TOL_SCHEME
 
 
 def test_stopping_is_non_anticipative(fig_solution, monkeypatch):
