@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from . import pinned
+from . import paths, pinned
 from .boundary import NonMonotoneSlice, check_boundary_monotone, extract_boundary
 from .gain import dG_dx, g_monte_carlo, g_pde, h_level, lg
 from .grids import Grid, truncation_tail_bound
@@ -234,7 +235,6 @@ def _base_manifest(args, cfg, model, grid, tols, subcommand, seed) -> dict:
         "library_version": __version__,
         "config_sha256": cfg["_sha256"],
         "seed": seed,
-        "threads": args.threads,
         "exercise_regime": classify(model).value,
         "n_x": grid.n_x,
         "n_t": grid.n_t,
@@ -519,6 +519,12 @@ def run(subcommand: str, args) -> int:
         return EXIT_PROPERTY
 
 
+def _thread_count(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="ultmax",
@@ -528,10 +534,14 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to the YAML run configuration")
     parser.add_argument("--out", default=None, help="output directory (overrides config `outputs`)")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads (runs are identical for any value)")
+    parser.add_argument(
+        "--threads", type=_thread_count, default=len(os.sched_getaffinity(0)),
+        help="worker threads for Monte Carlo blocks (default: the available cores; outputs do not depend on it)",
+    )
     parser.add_argument("--paths-dump", action="store_true", help="also dump simulated paths (debugging)")
     parser.add_argument("--plot-script", action="store_true", help="emit gnuplot scripts next to plottable CSVs")
     args = parser.parse_args(argv)
+    paths.threads = args.threads
     return run(args.subcommand, args)
 
 

@@ -38,15 +38,15 @@ def truncation_tail_bound(model: ValidatedModel, z_max: float) -> float:
     worst case; a diagnostic for whether a sentinel boundary could be a
     truncation artifact rather than maturity-only exercise.
     """
-    worst = 0.0
-    from scipy.stats import norm
+    from scipy.special import ndtr
 
+    worst = 0.0
     for j in range(model.m):
         nu = model.mu[j] - 0.5 * model.sigma[j] ** 2
         s = model.sigma[j] * np.sqrt(model.T)
         a = z_max
-        p = norm.sf((a - nu * model.T) / s) + np.exp(2.0 * nu * a / model.sigma[j] ** 2) * norm.sf(
-            (a + nu * model.T) / s
+        p = ndtr(-(a - nu * model.T) / s) + np.exp(2.0 * nu * a / model.sigma[j] ** 2) * ndtr(
+            -(a + nu * model.T) / s
         )
         worst = max(worst, float(p))
     return worst

@@ -14,12 +14,17 @@ Randomness: every (block, step) pair gets its own generator derived from the
 root seed, so results do not depend on how blocks are scheduled, and the
 draws for a step never influence earlier steps.  Every simulation runs
 through :func:`map_blocks`, the one owner of the block partition and of the
-order in which block results come back; :func:`mean_se` is the one reducer
-from summed moments to (mean, standard error).
+order in which block results come back; it runs blocks on ``threads`` worker
+threads (numpy releases the GIL in the random fills and array ufuncs), and no
+output depends on that count.  :func:`mean_se` is the one reducer from summed
+moments to (mean, standard error).
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -45,6 +50,31 @@ __all__ = [
 BLOCK_SIZE = 1 << 16
 
 _MAX_JUMP_ROUNDS = 100_000
+
+# Worker threads for map_blocks: the available cores unless the CLI's
+# --threads sets it.  No result depends on it.
+threads = len(os.sched_getaffinity(0))
+
+
+def _keep_block_temporaries():
+    """Keep freed block-sized arrays in the process heap between steps.
+
+    Every step allocates and frees a dozen or more BLOCK_SIZE float arrays.
+    glibc's adaptive thresholds can hand them back to the kernel and fault
+    them in again on the next step, which costs more system time than the
+    step's arithmetic.  Fixed thresholds above one block array keep them on
+    the heap.  A no-op without glibc.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(-3, 16 * BLOCK_SIZE)  # M_MMAP_THRESHOLD: 1 MiB, two block float arrays
+    mallopt(-1, 256 * BLOCK_SIZE)  # M_TRIM_THRESHOLD: 16 MiB
+
+
+_keep_block_temporaries()
 
 
 @dataclass(frozen=True)
@@ -157,16 +187,19 @@ def map_blocks(model, times, j0, n_paths, seed, bridge_max, block):
     [lo, lo + size) and draws from the streams of (seed, b, step).
     ``block(lo, size)`` returns ``(on_step, finish)``; ``on_step`` (or None)
     is passed to the block's step loop, and ``finish(state, log_y, log_ymax)``
-    maps its final slice to a result.  Results come back in block order, so
-    sums over them have a fixed reduction order.
+    maps its final slice to a result.  Up to ``threads`` blocks run at once,
+    so these callbacks must write only their own block's data (or hold a
+    lock); results come back in block order, so sums over them have a fixed
+    reduction order.
     """
-    out = []
-    lo = 0
-    for b, size in enumerate(_block_sizes(n_paths)):
-        on_step, finish = block(lo, size)
-        out.append(finish(*_advance_block(model, times, j0, size, seed, b, bridge_max, on_step)))
-        lo += size
-    return out
+    sizes = _block_sizes(n_paths)
+
+    def run(b):
+        on_step, finish = block(b * BLOCK_SIZE, sizes[b])
+        return finish(*_advance_block(model, times, j0, sizes[b], seed, b, bridge_max, on_step))
+
+    with ThreadPoolExecutor(max_workers=max(1, min(threads, len(sizes)))) as pool:
+        return list(pool.map(run, range(len(sizes))))
 
 
 def mean_se(total, total_sq, n) -> tuple[float, float]:

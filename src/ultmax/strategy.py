@@ -129,8 +129,12 @@ def _regret_pass(model, policies, j0, n_paths, n_steps, seed, bridge_max):
 
         def finish(state, ylog, ymaxlog):
             regrets = np.exp(ymaxlog[None, :] - log_y_tau)
-            d = regrets[:, None, :] - regrets[None, :, :]
-            return regrets.sum(axis=1), (regrets**2).sum(axis=1), d.sum(axis=2), (d**2).sum(axis=2)
+            pair_sum, pair_sumsq = np.zeros((P, P)), np.zeros((P, P))
+            for a in range(P):
+                for b in range(a + 1, P):
+                    d = regrets[a] - regrets[b]
+                    pair_sum[a, b], pair_sumsq[a, b] = d.sum(), (d**2).sum()
+            return regrets.sum(axis=1), (regrets**2).sum(axis=1), pair_sum, pair_sumsq
 
         return on_step, finish
 

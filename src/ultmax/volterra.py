@@ -21,6 +21,7 @@ boundary with the solved surface at Monte Carlo + quadrature accuracy.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,7 @@ class LVInterpolator:
         self.grid = surfaces.grid
         self.lv = discrete_generator_image(surfaces)
         self.n_extrapolated = 0
+        self._count_lock = threading.Lock()  # Monte Carlo blocks call this concurrently
 
     def __call__(self, r: float, logx: np.ndarray, regime: np.ndarray) -> np.ndarray:
         grid = self.grid
@@ -56,8 +58,9 @@ class LVInterpolator:
         it = min(int(rr / dt), grid.n_t - 2) if grid.n_t >= 2 else 0
         wt = (rr - grid.t[it]) / dt
 
-        over = logx > grid.z_max
-        self.n_extrapolated += int(np.count_nonzero(over))
+        n_over = int(np.count_nonzero(logx > grid.z_max))
+        with self._count_lock:
+            self.n_extrapolated += n_over
         zz = np.clip(logx, 0.0, grid.z_max)
         iz = np.minimum((zz / dz).astype(np.int64), grid.n_x - 2)
         wz = zz / dz - iz
@@ -196,20 +199,16 @@ def volterra_residual(
                 logb0 = np.log(b0)
 
                 def block(lo, size):
-                    xlog_path = np.empty((n_quad + 1, size))
-                    state_path = np.empty((n_quad + 1, size), dtype=np.int16)
+                    kint = np.zeros(size)
 
                     def on_step(q, state, ylog, ymaxlog):
-                        xlog_path[q] = np.maximum(logb0, ymaxlog) - ylog
-                        state_path[q] = state
+                        xlog = np.maximum(logb0, ymaxlog) - ylog
+                        vals = lv(times[q], xlog, state)
+                        vals *= np.exp(xlog) > b_at[q, state]
+                        np.add(kint, weights[q] * vals, out=kint)
 
-                    def finish(*_final):
-                        kint = np.zeros(size)
-                        for q in range(n_quad + 1):
-                            vals = lv(times[q], xlog_path[q], state_path[q])
-                            vals *= np.exp(xlog_path[q]) > b_at[q, state_path[q]]
-                            kint += weights[q] * vals
-                        xT = np.exp(xlog_path[-1])
+                    def finish(state, ylog, ymaxlog):
+                        xT = np.exp(np.maximum(logb0, ymaxlog) - ylog)
                         return np.array([xT.sum(), (xT * xT).sum(), kint.sum(), (kint * kint).sum(), size])
 
                     return on_step, finish

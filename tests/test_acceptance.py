@@ -312,26 +312,29 @@ def test_criterion_11_volterra_residual(fig_default):
 
 
 def test_criterion_12_bit_identical_reruns(tmp_path):
+    # 140 000 paths make three blocks, the last one partial, so with two
+    # threads two blocks run at once; every file must match one thread's.
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(
         "model:\n  mu: [0.15, 0.05]\n  sigma: [0.5, 0.3]\n"
         "  q: [[-2.5, 2.5], [2.0, -2.0]]\n  horizon: 0.5\n"
         "grid: {n_x: 120, n_t: 60}\n"
-        "mc: {n_paths: 8000, n_steps: 40, seed: 31415}\n"
+        "mc: {n_paths: 140000, n_steps: 40, seed: 31415}\n"
         "eval: {start_regime: 2, policies: ['boundary', 'immediate', 'at_maturity']}\n"
         "volterra: {n_quad: 8, report_every: 30}\n"
     )
     subs = ("solve", "boundary", "figure", "gcheck", "eval", "volterra")
-    for tag in ("a", "b"):
+    for threads in ("1", "2"):
         for sub in subs:
-            rc = cli.main([sub, "--config", str(cfg), "--out", str(tmp_path / f"{sub}_{tag}")])
+            out = tmp_path / f"{sub}_{threads}"
+            rc = cli.main([sub, "--config", str(cfg), "--out", str(out), "--threads", threads])
             assert rc == 0, (sub, rc)
     ok = True
     for sub in subs:
-        a, b = tmp_path / f"{sub}_a", tmp_path / f"{sub}_b"
+        a, b = tmp_path / f"{sub}_1", tmp_path / f"{sub}_2"
         for f in sorted(p.name for p in a.iterdir()):
             same = filecmp.cmp(a / f, b / f, shallow=False)
             ok &= same
             assert same, (sub, f)
-    report(12, "bit-identical reruns of every subcommand", ok)
+    report(12, "bit-identical outputs of every subcommand at 1 and 2 threads", ok)
     assert ok

@@ -117,6 +117,15 @@ def test_seed_flag_overrides_config(config, tmp_path):
     assert "seed=1" in (out1 / "run_manifest.txt").read_text()
 
 
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_non_positive_threads_exits_2(config, tmp_path, capsys, threads):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("eval", config, tmp_path / "threads", ["--threads", threads])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "threads").exists()
+
+
 def test_paths_dump_flag(config, tmp_path):
     out = tmp_path / "dump"
     assert run_cli("gcheck", config, out, ["--paths-dump"]) == 0
