@@ -109,7 +109,6 @@ class BoundaryMonotoneReport:
     """Time-monotonicity and discrete-continuity diagnostics per regime."""
 
     n_violations: int
-    worst_increase_cells: float   # largest upward move, in grid cells of log x
     max_jump_cells: float         # largest |move| between consecutive times
     max_jump_per_sqrt_dt: float   # continuity metric |db| / sqrt(dt), log scale
 
@@ -132,7 +131,6 @@ def check_boundary_monotone(boundary: Boundary, model) -> BoundaryMonotoneReport
     max_jump = float(finite_moves.max()) if finite_moves.size else 0.0
     return BoundaryMonotoneReport(
         n_violations=int(viol.sum()),
-        worst_increase_cells=float(np.max(up[np.isfinite(up)]) / grid.dz) if finite_moves.size else 0.0,
         max_jump_cells=max_jump / grid.dz,
         max_jump_per_sqrt_dt=max_jump / np.sqrt(grid.dt),
     )

@@ -7,8 +7,10 @@ families are usually written down), 0-based inside the library.
 Every run writes the requested CSVs plus a ``run_manifest.txt`` recording the
 config hash, seed, library version, pinned tolerances and derived grid
 quantities, so any output file can be traced to the exact inputs.  CSVs are
-UTF-8, comma-separated, one header row, 12 significant digits, LF endings;
-identical config and seed reproduce them byte for byte.
+UTF-8, comma-separated, one header row, LF endings; a column's format is
+fixed by its type (integers and flags in full, reals to 12 significant
+digits, text quoted as RFC 4180 has it when it holds a comma or a quote).
+Identical config and seed reproduce every file byte for byte.
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure,
 4 property-check failure.
@@ -55,33 +57,39 @@ class PropertyCheckFailure(RuntimeError):
     pass
 
 
-def _fmt(v) -> str:
-    """12 significant digits; inf spelled out for sentinel levels.
-
-    Text holding a comma or a quote is quoted as RFC 4180 has it, so policy
-    names such as ``threshold(1.05,1.05)`` stay one field.
-    """
-    if isinstance(v, str):
-        return '"' + v.replace('"', '""') + '"' if "," in v or '"' in v else v
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    f = float(v)
-    if np.isinf(f):
-        return "inf" if f > 0 else "-inf"
-    return f"{f:.12g}"
+# How a number is spelled, by numpy dtype kind: integers and bools in full,
+# everything else to 12 significant digits (which spells inf, -inf and nan).
+_NUMBER_SPECS = {"b": "%d", "i": "%d", "u": "%d", "f": "%.12g"}
 
 
-def _write_csv(path: Path, header, rows) -> None:
+def _fmt(text: str) -> str:
+    """A CSV text field; quoting one with a comma keeps ``threshold(1.05,1.05)`` one field."""
+    return '"' + text.replace('"', '""') + '"' if "," in text or '"' in text else text
+
+
+def _column(col):
+    """The format of one CSV column, fixed once from its type, and its values."""
+    col = np.asarray(col)
+    if col.dtype.kind in _NUMBER_SPECS:
+        return _NUMBER_SPECS[col.dtype.kind], col.tolist()
+    return "%s", [_fmt(v) for v in col.tolist()]
+
+
+def _write_csv(path: Path, header, blocks) -> None:
+    """Write ``header`` and then each block, an iterable of equal-length columns."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for block in blocks:
+            cols = [_column(col) for col in block]
+            spec = ",".join(s for s, _ in cols) + "\n"
+            fh.writelines(spec % row for row in zip(*(values for _, values in cols)))
 
 
-def _write_manifest(out_dir: Path, entries: dict) -> None:
-    with open(out_dir / "run_manifest.txt", "w", encoding="utf-8", newline="\n") as fh:
+def _write_kv(path: Path, entries: dict) -> None:
+    """``key=value`` lines; numbers spelled as in the CSVs, text unquoted."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for k, v in entries.items():
-            fh.write(f"{k}={_fmt(v) if isinstance(v, (int, float, np.floating, np.integer)) else v}\n")
+            fh.write(f"{k}={_NUMBER_SPECS.get(np.asarray(v).dtype.kind, '%s') % v}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -198,36 +206,28 @@ def _solve_all(model, grid):
     return surface_g, surfaces
 
 
-def _surface_rows(grid, values):
+def _surface_blocks(grid, *surfaces):
+    """CSV blocks of (t, x, regime, each surface's value), one time slice each.
+
+    A slice at a time keeps the formatted rows of a whole surface out of memory.
+    """
+    x = np.repeat(grid.x, grid.m)
+    j = np.tile(np.arange(1, grid.m + 1), grid.n_x)
     for k in range(grid.n_t + 1):
-        for i in range(grid.n_x):
-            for j in range(grid.m):
-                yield (grid.t[k], grid.x[i], j + 1, values[k, i, j])
+        yield [np.full(x.size, grid.t[k]), x, j, *(s.values[k].ravel() for s in surfaces)]
 
 
-def _value_rows(surfaces):
-    grid = surfaces.grid
-    v, g, f = surfaces.V.values, surfaces.G.values, surfaces.F.values
-    for k in range(grid.n_t + 1):
-        for i in range(grid.n_x):
-            for j in range(grid.m):
-                yield (grid.t[k], grid.x[i], j + 1, v[k, i, j], g[k, i, j], f[k, i, j])
-
-
-def _boundary_rows(boundary):
+def _write_boundary(out_dir: Path, boundary, plot_script: bool) -> None:
     grid = boundary.grid
-    for k in range(grid.n_t + 1):
-        for j in range(grid.m):
-            yield (
-                grid.t[k],
-                j + 1,
-                boundary.b_raw[k, j],
-                boundary.b_smoothed[k, j],
-                int(~np.isfinite(boundary.b_raw[k, j])),
-            )
+    t, j = np.repeat(grid.t, grid.m), np.tile(np.arange(1, grid.m + 1), grid.n_t + 1)
+    b_raw = boundary.b_raw.ravel()
+    block = [t, j, b_raw, boundary.b_smoothed.ravel(), ~np.isfinite(b_raw)]
+    _write_csv(out_dir / "boundary.csv", ["t", "j", "b_raw", "b_smoothed", "is_sentinel"], [block])
+    if plot_script:
+        _plot_script(out_dir, "boundary.csv", 1, (3, 4), 2, grid.m, "stopping boundary by regime")
 
 
-def _base_manifest(args, cfg, model, grid, tols, subcommand, seed) -> dict:
+def _base_manifest(cfg, model, grid, tols, subcommand, seed) -> dict:
     from . import __version__
 
     return {
@@ -269,14 +269,10 @@ def _plot_script(out_dir: Path, csv_name: str, x_col: int, y_cols, series_col: i
 
 def _dump_paths(out_dir: Path, model, mc) -> None:
     n = min(mc["n_paths"], _MAX_DUMPED_PATHS)
-    bundle = simulate_paths(model, 0.0, 0, n, mc["n_steps"], mc["seed"], mc["bridge_max"])
-
-    def rows():
-        for p in range(bundle.n_paths):
-            for k in range(bundle.n_steps + 1):
-                yield (p, k, bundle.times[k], int(bundle.states[p, k]) + 1, bundle.y[p, k], bundle.ymax[p, k])
-
-    _write_csv(out_dir / "paths.csv", ["path_id", "step", "t", "state", "y", "ymax"], rows())
+    b = simulate_paths(model, 0.0, 0, n, mc["n_steps"], mc["seed"], mc["bridge_max"])
+    step = np.arange(b.n_steps + 1)
+    blocks = ([np.full(step.size, p), step, b.times, b.states[p] + 1, b.y[p], b.ymax[p]] for p in range(n))
+    _write_csv(out_dir / "paths.csv", ["path_id", "step", "t", "state", "y", "ymax"], blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -292,27 +288,31 @@ def cmd_gcheck(args, cfg, out_dir):
     surface_g = g_pde(model, grid)
     surface_d = dG_dx(surface_g, grid)
 
-    rows = []
-    worst = 0.0
-    for i, (t, x, j) in enumerate(pinned.probe_points(model)):
-        k = grid.t_index(t)
-        pde_val = float(np.interp(np.log(x), grid.z, surface_g.values[k, :, j]))
-        mc_val, se = g_monte_carlo(model, t, x, j, mc["n_paths"], derive_seed(mc["seed"], i), bridge_max=mc["bridge_max"])
-        tol = 3.0 * se + pinned.C_PDE_MC * (grid.dz**2 + grid.dt)
-        ok = abs(pde_val - mc_val) <= tol
-        worst = max(worst, abs(pde_val - mc_val) - tol)
-        rows.append((t, x, j + 1, pde_val, mc_val, se, pde_val - mc_val, tol, int(ok)))
+    probes = pinned.probe_points(model)
+    pde, mc_val, se = np.empty((3, len(probes)))
+    for i, (t, x, j) in enumerate(probes):
+        pde[i] = np.interp(np.log(x), grid.z, surface_g.values[grid.t_index(t), :, j])
+        mc_val[i], se[i] = g_monte_carlo(
+            model, t, x, j, mc["n_paths"], derive_seed(mc["seed"], i), bridge_max=mc["bridge_max"]
+        )
+    t, x, j = map(np.array, zip(*probes))
+    tol = 3.0 * se + pinned.C_PDE_MC * (grid.dz**2 + grid.dt)
+    ok = np.abs(pde - mc_val) <= tol
 
-    _write_csv(out_dir / "gain_surface.csv", ["t", "x", "j", "value"], _surface_rows(grid, surface_g.values))
-    _write_csv(out_dir / "dgdx_surface.csv", ["t", "x", "j", "value"], _surface_rows(grid, surface_d.values))
-    _write_csv(out_dir / "gcheck.csv", ["t", "x", "j", "pde", "mc", "mc_se", "diff", "tol", "pass"], rows)
-    manifest = _base_manifest(args, cfg, model, grid, tols, "gcheck", mc["seed"])
+    _write_csv(out_dir / "gain_surface.csv", ["t", "x", "j", "value"], _surface_blocks(grid, surface_g))
+    _write_csv(out_dir / "dgdx_surface.csv", ["t", "x", "j", "value"], _surface_blocks(grid, surface_d))
+    _write_csv(
+        out_dir / "gcheck.csv",
+        ["t", "x", "j", "pde", "mc", "mc_se", "diff", "tol", "pass"],
+        [[t, x, j + 1, pde, mc_val, se, pde - mc_val, tol, ok]],
+    )
+    manifest = _base_manifest(cfg, model, grid, tols, "gcheck", mc["seed"])
     manifest["dgdx_clamp_fraction"] = surface_d.info["clamp_fraction"]
-    manifest["gcheck_pass"] = int(worst <= 0.0)
-    _write_manifest(out_dir, manifest)
+    manifest["gcheck_pass"] = int(ok.all())
+    _write_kv(out_dir / "run_manifest.txt", manifest)
     if args.paths_dump:
         _dump_paths(out_dir, model, mc)
-    if worst > 0.0:
+    if not ok.all():
         raise PropertyCheckFailure("lattice and Monte Carlo gain estimates disagree beyond tolerance")
     return EXIT_OK
 
@@ -326,16 +326,15 @@ def cmd_solve(args, cfg, out_dir):
     surface_d = dG_dx(surface_g, grid)
     surface_lg = lg(surface_g, surface_d, model, grid)
 
-    _write_csv(out_dir / "value_surface.csv", ["t", "x", "j", "V", "G", "F"], _value_rows(surfaces))
-    _write_csv(out_dir / "lg_surface.csv", ["t", "x", "j", "value"], _surface_rows(grid, surface_lg.values))
-    h_rows = []
-    for j in range(grid.m):
-        h = h_level(surface_lg, grid, j, tols["eps_sign"])
-        h_rows.extend((grid.t[k], j + 1, h[k]) for k in range(grid.n_t + 1))
-    _write_csv(out_dir / "h_level.csv", ["t", "j", "h"], h_rows)
+    vgf = _surface_blocks(grid, surfaces.V, surfaces.G, surfaces.F)
+    _write_csv(out_dir / "value_surface.csv", ["t", "x", "j", "V", "G", "F"], vgf)
+    _write_csv(out_dir / "lg_surface.csv", ["t", "x", "j", "value"], _surface_blocks(grid, surface_lg))
+    h = [h_level(surface_lg, grid, j, tols["eps_sign"]) for j in range(grid.m)]
+    h_blocks = [[grid.t, np.full(grid.t.size, j + 1), h[j]] for j in range(grid.m)]
+    _write_csv(out_dir / "h_level.csv", ["t", "j", "h"], h_blocks)
     if args.plot_script:
         _plot_script(out_dir, "h_level.csv", 1, (3,), 2, grid.m, "sign-change level by regime")
-    _write_manifest(out_dir, _base_manifest(args, cfg, model, grid, tols, "solve", seed))
+    _write_kv(out_dir / "run_manifest.txt", _base_manifest(cfg, model, grid, tols, "solve", seed))
     return EXIT_OK
 
 
@@ -346,11 +345,9 @@ def cmd_boundary(args, cfg, out_dir):
     seed = run_seed(cfg, args.seed, 0)
     _, surfaces = _solve_all(model, grid)
     boundary = extract_boundary(surfaces, tols["tol_abs"])
-    _write_csv(out_dir / "boundary.csv", ["t", "j", "b_raw", "b_smoothed", "is_sentinel"], _boundary_rows(boundary))
-    if args.plot_script:
-        _plot_script(out_dir, "boundary.csv", 1, (3, 4), 2, grid.m, "stopping boundary by regime")
+    _write_boundary(out_dir, boundary, args.plot_script)
 
-    manifest = _base_manifest(args, cfg, model, grid, tols, "boundary", seed)
+    manifest = _base_manifest(cfg, model, grid, tols, "boundary", seed)
     report_lines = {}
     failed = False
     try:
@@ -366,10 +363,8 @@ def cmd_boundary(args, cfg, out_dir):
     except NotApplicable:
         report_lines["monotone_applicable"] = 0
     manifest.update(report_lines)
-    _write_manifest(out_dir, manifest)
-    with open(out_dir / "boundary_report.txt", "w", encoding="utf-8", newline="\n") as fh:
-        for k, v in report_lines.items():
-            fh.write(f"{k}={_fmt(v) if isinstance(v, (int, float, np.floating)) else v}\n")
+    _write_kv(out_dir / "run_manifest.txt", manifest)
+    _write_kv(out_dir / "boundary_report.txt", report_lines)
     if failed:
         raise PropertyCheckFailure("boundary monotonicity/continuity check failed")
     return EXIT_OK
@@ -388,17 +383,17 @@ def cmd_volterra(args, cfg, out_dir):
         model, surfaces, boundary, mc["n_paths"], n_quad, mc["seed"],
         report_every=report_every, bridge_max=mc["bridge_max"],
     )
-    rows = zip(rep.t, rep.regime + 1, rep.lhs, rep.J, rep.J_se, rep.K_integral, rep.K_se, rep.residual, rep.relative_residual)
     _write_csv(
         out_dir / "volterra.csv",
         ["t", "j", "lhs", "J", "J_se", "K_integral", "K_se", "residual", "relative_residual"],
-        rows,
+        [[rep.t, rep.regime + 1, rep.lhs, rep.J, rep.J_se, rep.K_integral, rep.K_se, rep.residual,
+          rep.relative_residual]],
     )
-    manifest = _base_manifest(args, cfg, model, grid, tols, "volterra", mc["seed"])
+    manifest = _base_manifest(cfg, model, grid, tols, "volterra", mc["seed"])
     manifest["n_quad"] = n_quad
     manifest["median_abs_relative_residual"] = rep.median_abs_relative()
     manifest["n_extrapolated_samples"] = rep.n_extrapolated
-    _write_manifest(out_dir, manifest)
+    _write_kv(out_dir / "run_manifest.txt", manifest)
     return EXIT_OK
 
 
@@ -443,17 +438,11 @@ def cmd_eval(args, cfg, out_dir):
         estimates, pairs = compare_policies(
             model, policies, j0, mc["n_paths"], mc["n_steps"], mc["seed"], mc["bridge_max"]
         )
-    _write_csv(
-        out_dir / "eval.csv",
-        ["policy", "j0", "mean", "std_error", "n_paths"],
-        [(e.policy.name(), j0 + 1, e.mean, e.std_error, e.n_paths) for e in estimates],
-    )
-    _write_csv(
-        out_dir / "eval_pairs.csv",
-        ["policy_a", "policy_b", "diff", "diff_se"],
-        [(p.policy_a, p.policy_b, p.diff, p.diff_se) for p in pairs],
-    )
-    _write_manifest(out_dir, _base_manifest(args, cfg, model, grid, tols, "eval", mc["seed"]))
+    rows = [(e.policy.name(), j0 + 1, e.mean, e.std_error, e.n_paths) for e in estimates]
+    _write_csv(out_dir / "eval.csv", ["policy", "j0", "mean", "std_error", "n_paths"], [zip(*rows)])
+    rows = [(p.policy_a, p.policy_b, p.diff, p.diff_se) for p in pairs]
+    _write_csv(out_dir / "eval_pairs.csv", ["policy_a", "policy_b", "diff", "diff_se"], [zip(*rows)])
+    _write_kv(out_dir / "run_manifest.txt", _base_manifest(cfg, model, grid, tols, "eval", mc["seed"]))
     return EXIT_OK
 
 
@@ -470,12 +459,11 @@ def cmd_figure(args, cfg, out_dir):
     _, surfaces = _solve_all(model, grid)
     boundary = extract_boundary(surfaces, tols["tol_abs"])
 
-    _write_csv(out_dir / "value_surface.csv", ["t", "x", "j", "V", "G", "F"], _value_rows(surfaces))
-    _write_csv(out_dir / "boundary.csv", ["t", "j", "b_raw", "b_smoothed", "is_sentinel"], _boundary_rows(boundary))
-    if args.plot_script:
-        _plot_script(out_dir, "boundary.csv", 1, (3, 4), 2, grid.m, "stopping boundary by regime")
+    vgf = _surface_blocks(grid, surfaces.V, surfaces.G, surfaces.F)
+    _write_csv(out_dir / "value_surface.csv", ["t", "x", "j", "V", "G", "F"], vgf)
+    _write_boundary(out_dir, boundary, args.plot_script)
 
-    manifest = _base_manifest(args, cfg, model, grid, tols, "figure", seed)
+    manifest = _base_manifest(cfg, model, grid, tols, "figure", seed)
     anchor_ok = bool(np.all(np.abs(np.log(boundary.b_smoothed[-1])) <= grid.dz))
     rep = check_boundary_monotone(boundary, model)
     ordering = bool(np.all(np.log(boundary.b_smoothed[:, 1]) <= np.log(boundary.b_smoothed[:, 0]) + grid.dz))
@@ -484,7 +472,7 @@ def cmd_figure(args, cfg, out_dir):
         monotone_violations=rep.n_violations,
         regime2_below_regime1=int(ordering),
     )
-    _write_manifest(out_dir, manifest)
+    _write_kv(out_dir / "run_manifest.txt", manifest)
     if not anchor_ok or rep.n_violations > 0:
         raise PropertyCheckFailure("figure pipeline boundary failed its anchor/monotonicity checks")
     return EXIT_OK
@@ -503,8 +491,12 @@ COMMANDS = {
 def run(subcommand: str, args) -> int:
     try:
         cfg = load_config(args.config)
+        key = "--out" if args.out is not None else "outputs"
         out_dir = Path(args.out if args.out is not None else _need(cfg, "outputs", str, "."))
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"{key}: cannot create output directory {out_dir}: {exc}") from exc
         return COMMANDS[subcommand](args, cfg, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

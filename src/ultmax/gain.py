@@ -74,7 +74,7 @@ def g_pde(model: ValidatedModel, grid: Grid) -> Surface:
     values[-1] = grid.x[:, None]
     for k in range(grid.n_t - 1, -1, -1):
         values[k] = stepper.step(values[k + 1])
-    return Surface(values, "G")
+    return Surface(values)
 
 
 def dG_dx(surface_g: Surface, grid: Grid) -> Surface:
@@ -82,8 +82,8 @@ def dG_dx(surface_g: Surface, grid: Grid) -> Surface:
 
     Central differences in the interior, one-sided at the far end.  The x = 1
     column carries the reflecting-edge value 0 enforced by the scheme.  The
-    number of nodes clamped is recorded in ``info`` as a scheme-quality
-    diagnostic (the true derivative is a conditional CDF).
+    fraction of nodes clamped is recorded in ``info["clamp_fraction"]`` as a
+    scheme-quality diagnostic (the true derivative is a conditional CDF).
     """
     u = surface_g.values
     x = grid.x
@@ -97,7 +97,7 @@ def dG_dx(surface_g: Surface, grid: Grid) -> Surface:
     # still clamped.  Genuine scheme defects show up at 1e-3 and larger.
     clamped = int(np.sum((d < -1e-6) | (d > 1.0 + 1e-6)))
     out = np.clip(d, 0.0, 1.0)
-    return Surface(out, "dGdx", info={"clamped_nodes": clamped, "clamp_fraction": clamped / d.size})
+    return Surface(out, info={"clamp_fraction": clamped / d.size})
 
 
 def lg(surface_g: Surface, surface_dgdx: Surface, model: ValidatedModel, grid: Grid) -> Surface:
@@ -115,7 +115,7 @@ def lg(surface_g: Surface, surface_dgdx: Surface, model: ValidatedModel, grid: G
     mu = model.mu[None, None, :]
     out = x * sig2 * d - mu * g
     out[-1] = -model.mu[None, :] * grid.x[:, None]
-    return Surface(out, "LG")
+    return Surface(out)
 
 
 def h_level(surface_lg: Surface, grid: Grid, j: int, eps_sign: float) -> np.ndarray:

@@ -113,5 +113,4 @@ class Surface:
     """Scalar field over (time node, z node, regime)."""
 
     values: np.ndarray  # (n_t + 1, n_x, m)
-    meta: str
     info: dict = field(default_factory=dict)

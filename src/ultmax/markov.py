@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "TransitionMatrix",
     "ChainPath",
     "transition_matrix",
     "sample_chain",
@@ -25,14 +24,6 @@ __all__ = [
 
 # Poisson tail mass omitted by the uniformization series.
 UNIFORMIZATION_TAIL = 1e-14
-
-
-@dataclass(frozen=True)
-class TransitionMatrix:
-    """Row-stochastic kernel P = exp(Q*dt) over a step of length dt."""
-
-    P: np.ndarray
-    dt: float
 
 
 @dataclass(frozen=True)
@@ -71,8 +62,8 @@ def derive_seed(seed, *key: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def transition_matrix(Q: np.ndarray, dt: float) -> TransitionMatrix:
-    """exp(Q*dt) by uniformization, rows renormalized to sum exactly 1.
+def transition_matrix(Q: np.ndarray, dt: float) -> np.ndarray:
+    """Row-stochastic exp(Q*dt) by uniformization, rows renormalized to sum exactly 1.
 
     The series sum_k e^{-lam*dt} (lam*dt)^k / k! * K^k with K = I + Q/lam is
     truncated once the remaining Poisson tail mass drops below
@@ -85,14 +76,14 @@ def transition_matrix(Q: np.ndarray, dt: float) -> TransitionMatrix:
     lam = float(np.max(-np.diag(Q)))
     a = lam * dt
     if a == 0.0:
-        return TransitionMatrix(np.eye(m), float(dt))
+        return np.eye(m)
 
     K = np.eye(m) + Q / lam
     # Recursive Poisson weights: w_0 = e^-a, w_{k+1} = w_k * a/(k+1).
     w = np.exp(-a)
     if w == 0.0:
         # Beyond float range for the leading weight: square down from dt/2.
-        half = transition_matrix(Q, dt / 2.0).P
+        half = transition_matrix(Q, dt / 2.0)
         P = half @ half
     else:
         term = np.eye(m)
@@ -107,7 +98,7 @@ def transition_matrix(Q: np.ndarray, dt: float) -> TransitionMatrix:
             acc += w
     P = np.maximum(P, 0.0)
     P /= P.sum(axis=1, keepdims=True)
-    return TransitionMatrix(P, float(dt))
+    return P
 
 
 def stationary_distribution(Q: np.ndarray) -> np.ndarray:

@@ -35,7 +35,6 @@ from .model import ValidatedModel
 
 __all__ = [
     "PathBundle",
-    "XPath",
     "simulate_paths",
     "lift_to_x",
     "map_blocks",
@@ -87,15 +86,6 @@ class PathBundle:
     states: np.ndarray   # (n_paths, n_steps + 1) regime indices
     y: np.ndarray        # (n_paths, n_steps + 1) asset level, y[:, 0] = 1
     ymax: np.ndarray     # (n_paths, n_steps + 1) running max of y from t0
-    seed: int
-
-
-@dataclass(frozen=True)
-class XPath:
-    """Ratio process max(x0 * Y_t0, running max) / Y along a bundle."""
-
-    x: np.ndarray
-    x0: float
 
 
 def _log_update(ylog, ymaxlog, mu_s, sig_s, seg, rng, bridge_max):
@@ -245,7 +235,7 @@ def simulate_paths(
     map_blocks(model, times, j0, n_paths, seed, bridge_max, block)
     np.exp(y, out=y)
     np.exp(ymax, out=ymax)
-    return PathBundle(n_paths, n_steps, times, states.T, y.T, ymax.T, int(seed))
+    return PathBundle(n_paths, n_steps, times, states.T, y.T, ymax.T)
 
 
 def reduce_terminal(
@@ -268,9 +258,8 @@ def reduce_terminal(
     return map_blocks(model, times, j0, n_paths, seed, bridge_max, lambda lo, size: (None, fn))
 
 
-def lift_to_x(bundle: PathBundle, x0: float) -> XPath:
+def lift_to_x(bundle: PathBundle, x0: float) -> np.ndarray:
     """Ratio process started at x0 >= 1: max(x0 * y[0], ymax[s]) / y[s]."""
     if x0 < 1.0:
         raise ValueError("x0 must be at least 1")
-    x = np.maximum(x0 * bundle.y[:, :1], bundle.ymax) / bundle.y
-    return XPath(x, float(x0))
+    return np.maximum(x0 * bundle.y[:, :1], bundle.ymax) / bundle.y

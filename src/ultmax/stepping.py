@@ -46,7 +46,7 @@ class BackwardStepper:
         self.advection = np.asarray(advection, dtype=float)
         self.reaction = np.asarray(reaction, dtype=float)
         self.diffusion = 0.5 * model.sigma**2
-        self.coupling = transition_matrix(model.Q, grid.dt).P
+        self.coupling = transition_matrix(model.Q, grid.dt)
 
         dz, dt = grid.dz, grid.dt
         n = grid.n_x

@@ -67,7 +67,7 @@ def solve_value(model: ValidatedModel, grid: Grid, surface_g: Surface) -> ValueS
     for k in range(grid.n_t - 1, -1, -1):
         v[k] = np.minimum(stepper.step(v[k + 1]), g[k])
     f = v - g
-    return ValueSurfaces(Surface(v, "V"), surface_g, Surface(f, "F"), grid, model)
+    return ValueSurfaces(Surface(v), surface_g, Surface(f), grid, model)
 
 
 def discrete_generator_image(surfaces: ValueSurfaces) -> np.ndarray:

@@ -22,7 +22,7 @@ def fake_surfaces(grid, f_values):
     """Surfaces carrying a prescribed gap field (V = G + F with G = level)."""
     g = np.tile(grid.x[:, None], (1, grid.m))[None].repeat(grid.n_t + 1, axis=0)
     return ValueSurfaces(
-        Surface(g + f_values, "V"), Surface(g, "G"), Surface(f_values, "F"), grid, FIG
+        Surface(g + f_values), Surface(g), Surface(f_values), grid, FIG
     )
 
 

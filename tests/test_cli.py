@@ -234,3 +234,166 @@ def test_eval_csvs_parse_with_a_csv_reader(config, tmp_path):
         assert "threshold(1.05,1.05)" in {field for row in rows for field in row}
     with open(out / "eval.csv", newline="") as fh:
         assert all(int(row["n_paths"]) == 8000 for row in csv.DictReader(fh))
+
+
+# ---------------------------------------------------------------------------
+# Golden bytes: the sha256 of every file these small runs write.  The values
+# were recorded once and must not move unless an output format changes on
+# purpose; two runs of the same tree (test_identical_runs_are_bit_identical)
+# cannot catch a format change.
+# ---------------------------------------------------------------------------
+
+SMALL_YAML = """\
+model:
+  mu: [0.15, 0.05]
+  sigma: [0.5, 0.3]
+  q: [[-2.5, 2.5], [2.0, -2.0]]
+  horizon: 0.5
+grid:
+  n_x: 12
+  n_t: 6
+mc:
+  n_paths: 3000
+  n_steps: 8
+  seed: 11
+eval:
+  start_regime: 1
+  policies: ["boundary", "immediate", "at_maturity", {threshold: [1.05, 1.05]}]
+volterra:
+  n_quad: 4
+  report_every: 2
+"""
+
+# At-maturity family (mu >= sigma^2 in every regime) with zero tolerances, so
+# the boundary is the +inf sentinel before the horizon.
+AT_MATURITY_YAML = SMALL_YAML.replace("mu: [0.15, 0.05]", "mu: [0.3, 0.2]") + "tolerances: {tol_abs: 0, eps_sign: 0}\n"
+ONE_POLICY_YAML = SMALL_YAML.replace(
+    'policies: ["boundary", "immediate", "at_maturity", {threshold: [1.05, 1.05]}]', 'policies: ["boundary"]'
+)
+
+GOLDEN_RUNS = {
+    "solve_at_maturity": ("solve", AT_MATURITY_YAML, ["--plot-script"]),
+    "boundary_at_maturity": ("boundary", AT_MATURITY_YAML, ["--plot-script"]),
+    "figure": ("figure", SMALL_YAML, ["--plot-script"]),
+    "gcheck_paths_dump": ("gcheck", SMALL_YAML, ["--paths-dump"]),
+    "eval_threshold": ("eval", SMALL_YAML, []),
+    "eval_one_policy": ("eval", ONE_POLICY_YAML, []),
+    "volterra": ("volterra", SMALL_YAML, []),
+}
+
+GOLDEN_SHA256 = {
+    "boundary_at_maturity": {
+        "boundary.csv": "e226beb3eb36030e458657fc6207de1059a3a6f9d015f110728f0f29f705c8f9",
+        "boundary.csv.gp": "321c1c7444af6d79577d27b61df03aa91cfd3fb7507deca51af96c663ca44580",
+        "boundary_report.txt": "730e4ecd578289f76919ab4e37b8b7fece331f196cbac9d1538897561dfe2ec5",
+        "run_manifest.txt": "28901ebe995bff50dc520d3cfccf032c0565770ba8ae9a2e1c49244a56cf0050",
+    },
+    "eval_one_policy": {
+        "eval.csv": "6395b4c6e4e54ead8c2a4e75b504becd16dc509e62c57e8d0688b71be724e466",
+        "eval_pairs.csv": "699f4a5d7576f64976e5428716ec86fd1dd3929c4b032c39d28b909b0aff6079",
+        "run_manifest.txt": "dd96f00c8adb60db5efad7dde6d5e1ea3dac2b315f9a194cb4e6e353b705ea6d",
+    },
+    "eval_threshold": {
+        "eval.csv": "2c56254b5d5164202012d373fcc8cf6cc20ece896e16e7c6738c679e8dd064ea",
+        "eval_pairs.csv": "1b30f6d246952138dab8bce92d27d554833358c407127d09b410b24b86101303",
+        "run_manifest.txt": "a1282b68e4f23d9da64cd64a4253658b4c8a9fb284fed5c3e6030e94d987f94b",
+    },
+    "figure": {
+        "boundary.csv": "de629ec0302e9aa4190314c5c06dc5352ffb08d2450366afc1a9039a28530794",
+        "boundary.csv.gp": "321c1c7444af6d79577d27b61df03aa91cfd3fb7507deca51af96c663ca44580",
+        "run_manifest.txt": "6b0b3afc8c71ffd830017cfbb19a5f38374c8ad4f527761caadb4f19943ff199",
+        "value_surface.csv": "6359b8f4ae1f45bc50a78476b6aae5611c00755bd2d8a00b6cd2a0bf599b8fb1",
+    },
+    "gcheck_paths_dump": {
+        "dgdx_surface.csv": "e0c880f62c2cd878e7f3918fc6487c100fc7f7a24ec453200d23a33fc8bc89a7",
+        "gain_surface.csv": "d4bf4edef1939e29176a6fb7e3837dce987372295dee5f515bc696e67064df33",
+        "gcheck.csv": "c5c85d2318fd6c71e0c97caa920b0d6d95031769a1e7df1376c17ab6a85f5594",
+        "paths.csv": "87d519921a1aec3b0e4af82e4a02f1791e592eaba77950cb73393260f1b8dab3",
+        "run_manifest.txt": "51544248023d6c3fcc3933dd5bbf3d9a19071df57ac0ea43352578bcfceb47bd",
+    },
+    "solve_at_maturity": {
+        "h_level.csv": "a0345f111be62d0c3607b61ba61943b95266731342edf812f4fd40ded3a7c81a",
+        "h_level.csv.gp": "66c5227998c8c742d36786b5cf0532e90aff0dda6a6fdc735c286ff419d84840",
+        "lg_surface.csv": "75d19edd4f3eca83fe64ef8db65331c029e8864ca0bf5b3767e31eb907d83f2f",
+        "run_manifest.txt": "afed359f6d794c820d3f01427c37b935d08c0327d269a74bd3f041d9be9b925c",
+        "value_surface.csv": "be801481c164a12ffe148fe221adb1827507df8ac63a1346a4929366682a5c57",
+    },
+    "volterra": {
+        "run_manifest.txt": "18ca6d20dc06d8b97303855cd0f19f9d08c709275e93baaa4b636492ccbf6b78",
+        "volterra.csv": "a2c9727f08e99e2be05786b05d56ca10c2140a023f8faa1633908facdd5c616b",
+    },
+}
+
+
+def output_hashes(case, tmp_path):
+    """Run one golden case; return its exit code and {file name: sha256}."""
+    import hashlib
+
+    sub, text, extra = GOLDEN_RUNS[case]
+    cfg = tmp_path / f"{case}.yaml"
+    cfg.write_text(text)
+    out = tmp_path / case
+    rc = run_cli(sub, cfg, out, extra)
+    return rc, {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_RUNS))
+def test_output_bytes_match_golden_hashes(case, tmp_path):
+    rc, hashes = output_hashes(case, tmp_path)
+    assert rc == 0
+    assert hashes == GOLDEN_SHA256[case]
+
+
+@pytest.mark.parametrize(
+    "sub, gp, y_cols",
+    [("solve", "h_level.csv.gp", (3,)), ("boundary", "boundary.csv.gp", (3, 4)), ("figure", "boundary.csv.gp", (3, 4))],
+)
+def test_plot_script_has_one_clause_per_regime_and_series(config, tmp_path, sub, gp, y_cols):
+    out = tmp_path / sub
+    assert run_cli(sub, config, out, ["--plot-script"]) == 0
+    text = (out / gp).read_text()
+    assert text.count("plot ") == 1
+    csv_name = gp[: -len(".gp")]
+    for j in (1, 2):
+        for y in y_cols:
+            clause = f"'{csv_name}' using 1:(column(2)=={j} ? column({y}) : 1/0) with lines title 'regime {j} col{y}'"
+            assert text.count(clause) == 1, clause
+    assert text.count(" with lines ") == 2 * len(y_cols)
+
+
+def read_kv(path):
+    return dict(line.split("=", 1) for line in Path(path).read_text().splitlines())
+
+
+def test_boundary_report_keys(config, tmp_path):
+    out = tmp_path / "report"
+    assert run_cli("boundary", config, out) == 0
+    report = read_kv(out / "boundary_report.txt")
+    assert list(report) == [
+        "monotone_applicable", "monotone_violations", "max_jump_cells", "max_jump_per_sqrt_dt", "continuity_bound",
+    ]
+    assert report["monotone_applicable"] == "1" and report["monotone_violations"] == "0"
+    assert float(report["max_jump_per_sqrt_dt"]) >= 0.0 and float(report["continuity_bound"]) > 0.0
+    # The report's lines are repeated in the manifest.
+    assert read_kv(out / "run_manifest.txt").items() >= report.items()
+
+    # Negative drifts: the monotonicity check does not apply.
+    neg = config.parent / "neg.yaml"
+    neg.write_text(config.read_text().replace("mu: [0.15, 0.05]", "mu: [-0.05, 0.1]"))
+    assert run_cli("boundary", neg, tmp_path / "neg") == 0
+    assert read_kv(tmp_path / "neg" / "boundary_report.txt") == {"monotone_applicable": "0"}
+
+
+@pytest.mark.parametrize("key", ["--out", "outputs"])
+def test_output_path_that_is_a_file_exits_2(config, tmp_path, capsys, key):
+    taken = tmp_path / "some_file"
+    taken.write_text("not a directory\n")
+    if key == "--out":
+        argv = ["boundary", "--config", str(config), "--out", str(taken)]
+    else:
+        in_cfg = config.parent / "outputs.yaml"
+        in_cfg.write_text(config.read_text() + f"outputs: {taken}\n")
+        argv = ["boundary", "--config", str(in_cfg)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key}: cannot create output directory")
+    assert taken.read_text() == "not a directory\n"

@@ -29,18 +29,18 @@ def taylor_expm(Q, dt, terms=20):
 
 
 def test_zero_generator_gives_identity():
-    P = transition_matrix(np.array([[0.0]]), 0.1).P
+    P = transition_matrix(np.array([[0.0]]), 0.1)
     assert np.array_equal(P, np.eye(1))
 
 
 def test_dt_zero_gives_identity():
-    P = transition_matrix(FIG_Q, 0.0).P
+    P = transition_matrix(FIG_Q, 0.0)
     assert np.array_equal(P, np.eye(2))
 
 
 def test_long_horizon_rows_reach_stationary_distribution():
     # pi solves pi Q = 0, pi . 1 = 1: by hand, pi = (4/9, 5/9) for FIG_Q.
-    P = transition_matrix(FIG_Q, 100.0).P
+    P = transition_matrix(FIG_Q, 100.0)
     pi_hand = np.array([4.0 / 9.0, 5.0 / 9.0])
     assert np.allclose(P, np.vstack([pi_hand, pi_hand]), atol=1e-10)
     assert np.allclose(stationary_distribution(FIG_Q), pi_hand, atol=1e-12)
@@ -48,7 +48,7 @@ def test_long_horizon_rows_reach_stationary_distribution():
 
 def test_small_step_matches_series_oracle():
     dt = 0.005
-    P = transition_matrix(FIG_Q, dt).P
+    P = transition_matrix(FIG_Q, dt)
     P_ref, rem = taylor_expm(FIG_Q, dt)
     assert rem < 1e-16
     assert np.allclose(P, P_ref, atol=1e-13)
@@ -58,7 +58,7 @@ def test_small_step_matches_series_oracle():
 
 def test_rows_sum_to_one_exactly():
     for dt in (1e-4, 0.01, 1.0, 10.0):
-        P = transition_matrix(FIG_Q, dt).P
+        P = transition_matrix(FIG_Q, dt)
         assert np.all(P >= 0.0)
         assert np.max(np.abs(P.sum(axis=1) - 1.0)) < 1e-14
 
@@ -75,9 +75,9 @@ def test_semigroup_property(rates, dt1, dt2):
     for i, r in enumerate(rates):
         Q[i] = r / (n - 1)
         Q[i, i] = -r
-    P12 = transition_matrix(Q, dt1 + dt2).P
-    P1 = transition_matrix(Q, dt1).P
-    P2 = transition_matrix(Q, dt2).P
+    P12 = transition_matrix(Q, dt1 + dt2)
+    P1 = transition_matrix(Q, dt1)
+    P2 = transition_matrix(Q, dt2)
     assert np.max(np.abs(P12 - P1 @ P2)) < 1e-10
 
 

@@ -63,25 +63,25 @@ def test_simulation_is_deterministic_and_blockwise_consistent():
 def test_lift_to_x_trivial_cases():
     times = np.linspace(0.0, 1.0, 4)
     y = np.array([[1.0, 1.2, 1.5, 2.0]])  # strictly increasing: ymax == y
-    bundle = PathBundle(1, 3, times, np.zeros((1, 4), dtype=np.int16), y, y.copy(), 0)
-    x = lift_to_x(bundle, 1.0).x
+    bundle = PathBundle(1, 3, times, np.zeros((1, 4), dtype=np.int16), y, y.copy())
+    x = lift_to_x(bundle, 1.0)
     assert np.allclose(x, 1.0)
 
     # Initial cap dominates while the running max stays below it.
     y2 = np.array([[1.0, 1.1, 0.9, 1.3]])
     ymax2 = np.maximum.accumulate(y2, axis=1)
-    bundle2 = PathBundle(1, 3, times, np.zeros((1, 4), dtype=np.int16), y2, ymax2, 0)
-    x2 = lift_to_x(bundle2, 2.0).x
+    bundle2 = PathBundle(1, 3, times, np.zeros((1, 4), dtype=np.int16), y2, ymax2)
+    x2 = lift_to_x(bundle2, 2.0)
     assert np.allclose(x2, 2.0 * y2[0, 0] / y2)
 
-    assert lift_to_x(bundle, 1.0).x[0, 0] == 1.0
+    assert lift_to_x(bundle, 1.0)[0, 0] == 1.0
     with pytest.raises(ValueError):
         lift_to_x(bundle, 0.5)
 
 
 def test_ratio_process_reflects_at_one():
     b = simulate_paths(FIG, 0.0, 0, 20_000, 80, seed=21, bridge_max=False)
-    x = lift_to_x(b, 1.0).x
+    x = lift_to_x(b, 1.0)
     assert np.all(x >= 1.0 - 1e-14)
     at_floor = x == 1.0
     # Reflection: the floor is touched exactly where the level is its own

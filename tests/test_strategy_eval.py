@@ -28,7 +28,7 @@ def fig_solution():
 def reference_regrets(model, policy, j0, n_paths, n_steps, seed):
     """Independent bundle-based evaluation: apply the rule to stored paths."""
     bundle = simulate_paths(model, 0.0, j0, n_paths, n_steps, seed, bridge_max=True)
-    x = lift_to_x(bundle, 1.0).x
+    x = lift_to_x(bundle, 1.0)
     n = bundle.n_paths
     tau_idx = np.full(n, bundle.n_steps)
     if policy.kind == "immediate":
