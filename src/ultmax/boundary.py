@@ -124,8 +124,8 @@ def check_boundary_monotone(boundary: Boundary, model) -> BoundaryMonotoneReport
         raise NotApplicable("boundary monotonicity requires all drifts nonnegative")
     grid = boundary.grid
     logb = np.log(boundary.b_smoothed)
-    up = logb[1:] - logb[:-1]
-    up = np.where(np.isnan(up), 0.0, up)  # inf -> inf transitions are flat
+    sentinel = np.isinf(logb)  # sentinel -> sentinel transitions are flat
+    up = np.subtract(logb[1:], logb[:-1], out=np.zeros_like(logb[1:]), where=~(sentinel[1:] & sentinel[:-1]))
     viol = up > grid.dz
     finite_moves = np.abs(up[np.isfinite(up)])
     max_jump = float(finite_moves.max()) if finite_moves.size else 0.0

@@ -17,7 +17,6 @@ __all__ = [
     "transition_matrix",
     "sample_chain",
     "stationary_distribution",
-    "sample_step_jumps",
     "embedded_jump_cdf",
     "derive_rng",
 ]
@@ -154,31 +153,26 @@ def embedded_jump_cdf(Q) -> np.ndarray:
     )
 
 
-def _step_jumps(rates, cdf, states, remaining, rng):
+def _step_jumps(rates, cdf, states, remaining, rng, buffers=None):
     """One vectorized jump proposal given precomputed rates and embedded CDF.
 
     Draws an exponential holding time for every chain; chains whose holding
-    time exceeds ``remaining`` do not jump this round (memorylessness makes
-    resampling next round exact).  Jump targets are drawn only for the chains
-    that actually jump, so the draw count depends on the data but remains a
-    deterministic function of the seed.
+    time is not below ``remaining`` (absorbing ones: e / 0 is inf, or nan) do
+    not jump this round, and memorylessness makes resampling next round exact.
+    Targets are drawn only for the chains ``idx`` that jump, so the draw count
+    depends on the data but remains a deterministic function of the seed.
+    Returns (holding, jumped, idx, targets); ``buffers`` may hold the float
+    holding and scratch arrays and the bool mask.
     """
-    r = rates[states]
-    e = rng.standard_exponential(states.shape[0])
-    holding = np.full(states.shape[0], np.inf)
-    pos = r > 0.0
-    holding[pos] = e[pos] / r[pos]
-    jumped = holding < remaining
-
-    next_state = states.copy()
-    idx = np.flatnonzero(jumped)
+    n = states.shape[0]
+    holding, scratch, jumped = buffers or (np.empty(n), np.empty(n), np.empty(n, dtype=bool))
+    rng.standard_exponential(out=holding)
+    with np.errstate(divide="ignore", invalid="ignore"):  # + 0.0 makes an absorbing -0.0 rate +0.0
+        np.divide(holding, (rates + 0.0).take(states, out=scratch, mode="clip"), out=holding)
+    idx = np.flatnonzero(np.less(holding, remaining, out=jumped))
+    targets = states[idx]
     if idx.size:
-        u = rng.random(idx.size)
-        next_state[idx] = (u[:, None] < cdf[states[idx]]).argmax(axis=1).astype(states.dtype)
-    return holding, next_state, jumped
+        u = rng.random(out=scratch[: idx.size])
+        targets = (u[:, None] < cdf[targets]).argmax(axis=1).astype(states.dtype)
+    return holding, jumped, idx, targets
 
-
-def sample_step_jumps(Q, states, remaining, rng):
-    """Jump proposal for a block of chains over one interval; see _step_jumps."""
-    Q = np.asarray(Q, dtype=float)
-    return _step_jumps(-np.diag(Q), embedded_jump_cdf(Q), states, remaining, rng)

@@ -17,12 +17,12 @@ through :func:`map_blocks`, the one owner of the block partition and of the
 order in which block results come back; it runs blocks on ``threads`` worker
 threads (numpy releases the GIL in the random fills and array ufuncs), and no
 output depends on that count.  :func:`mean_se` is the one reducer from summed
-moments to (mean, standard error).
+moments to (mean, standard error).  Each block steps through scratch arrays of
+its own, so no step allocates a block-sized array and no two blocks share one.
 """
 
 from __future__ import annotations
 
-import ctypes
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -55,27 +55,6 @@ _MAX_JUMP_ROUNDS = 100_000
 threads = len(os.sched_getaffinity(0))
 
 
-def _keep_block_temporaries():
-    """Keep freed block-sized arrays in the process heap between steps.
-
-    Every step allocates and frees a dozen or more BLOCK_SIZE float arrays.
-    glibc's adaptive thresholds can hand them back to the kernel and fault
-    them in again on the next step, which costs more system time than the
-    step's arithmetic.  Fixed thresholds above one block array keep them on
-    the heap.  A no-op without glibc.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError, TypeError):
-        return
-    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-    mallopt(-3, 16 * BLOCK_SIZE)  # M_MMAP_THRESHOLD: 1 MiB, two block float arrays
-    mallopt(-1, 256 * BLOCK_SIZE)  # M_TRIM_THRESHOLD: 16 MiB
-
-
-_keep_block_temporaries()
-
-
 @dataclass(frozen=True)
 class PathBundle:
     """Simulated block of paths on a uniform grid, Y normalized to 1 at t0."""
@@ -88,23 +67,36 @@ class PathBundle:
     ymax: np.ndarray     # (n_paths, n_steps + 1) running max of y from t0
 
 
-def _log_update(ylog, ymaxlog, mu_s, sig_s, seg, rng, bridge_max):
-    """Advance log Y over frozen-regime segments of lengths ``seg`` in place.
+def _coefficients(mu, sigma, seg):
+    """Drift (mu - sigma^2 / 2) * seg, volatility sigma * sqrt(seg), bridge 2 * (sigma^2 * seg)."""
+    return (mu - 0.5 * sigma**2) * seg, sigma * np.sqrt(seg), 2.0 * (sigma**2 * seg)
 
-    Draws one normal per path (and one uniform when ``bridge_max``).  The
-    bridge draw samples the maximum of the log-path over the segment given
-    its endpoints; zero-length segments reduce to no-ops without special
-    casing because log1p(-u) stays finite.
+
+def _log_update(ylog, ymaxlog, coefficient, rng, bridge_max, z=None, u=None, work=None):
+    """Advance log Y in place over frozen-regime segments.
+
+    ``coefficient(i, out)`` returns the segments' i-th :func:`_coefficients`
+    array, in ``out`` or its own, for the update to overwrite.  Draws normals
+    into ``z`` and, with ``bridge_max``, uniforms into ``u``: the bridge draw
+    samples the maximum of the log-path over the segment given its endpoints
+    (zero-length segments need no special case: log1p(-u) stays finite).
     """
-    dlog = (mu_s - 0.5 * sig_s**2) * seg + sig_s * np.sqrt(seg) * rng.standard_normal(ylog.shape[0])
+    z = rng.standard_normal(ylog.shape[0], out=z)
+    vol_z = coefficient(1, work)
+    vol_z *= z
+    dlog = coefficient(0, z)
+    dlog += vol_z
     if bridge_max:
-        u = rng.random(ylog.shape[0])
-        var = sig_s**2 * seg
-        peak = 0.5 * (dlog + np.sqrt(dlog * dlog - 2.0 * var * np.log1p(-u)))
-        np.maximum(ymaxlog, ylog + peak, out=ymaxlog)
-        ylog += dlog
-    else:
-        ylog += dlog
+        u = np.log1p(np.negative(rng.random(ylog.shape[0], out=u), out=u), out=u)
+        var2 = coefficient(2, vol_z)
+        var2 *= u
+        peak = np.sqrt(np.subtract(np.multiply(dlog, dlog, out=u), var2, out=u), out=u)
+        peak += dlog
+        peak *= 0.5
+        peak += ylog
+        np.maximum(ymaxlog, peak, out=ymaxlog)
+    ylog += dlog
+    if not bridge_max:
         np.maximum(ymaxlog, ylog, out=ymaxlog)
 
 
@@ -112,62 +104,60 @@ def _advance_block(model, times, j0, n, seed, block_index, bridge_max, on_step=N
     """Evolve one block of n paths; returns final (state, ylog, ymaxlog).
 
     ``on_step(k, state, ylog, ymaxlog)`` is invoked at k = 0 and after every
-    step.  The callback must copy anything it wants to keep.
+    step, and must copy anything it keeps: the arrays change in place.  A
+    step's first round updates every path from per-regime tables for a full
+    step, recomputing the paths that jump from their holding times; later
+    rounds run on the subset that jumped.
     """
     mu, sigma = model.mu, model.sigma
     rates = model.jump_rates()
     cdf = embedded_jump_cdf(model.Q)
-    no_jumps = not np.any(rates > 0.0)
+    steps = np.diff(times)
+    tables = {dt: _coefficients(mu, sigma, dt) for dt in np.unique(steps)}
 
-    state = np.full(n, int(j0), dtype=np.int16)
-    ylog = np.zeros(n)
-    ymaxlog = np.zeros(n)
+    state = np.full(n, int(j0), dtype=np.intp)
+    ylog, ymaxlog = np.zeros((2, n))
+    z, u, work = np.empty((3, n))
+    jumped = np.empty(n, dtype=bool)
+    holding, idx = z, np.empty(0, dtype=np.intp)  # with Q = 0 no path ever jumps
+
+    def coefficient(i, out):  # this step's table values, the jumped paths' own over them
+        table[i].take(state, out=out, mode="clip")
+        out[idx] = own[i]
+        return out
+
     if on_step is not None:
         on_step(0, state, ylog, ymaxlog)
 
-    for k in range(len(times) - 1):
+    for k, dt in enumerate(steps):
         rng = derive_rng(seed, block_index, k)
-        dt = times[k + 1] - times[k]
-        if no_jumps:
-            _log_update(ylog, ymaxlog, mu[state], sigma[state], dt, rng, bridge_max)
-            if on_step is not None:
-                on_step(k + 1, state, ylog, ymaxlog)
-            continue
+        table = tables[dt]
+        if rates.any():
+            holding, _, idx, targets = _step_jumps(rates, cdf, state, dt, rng, (z, u, jumped))
+            remaining = dt - holding[idx]
+        own = _coefficients(mu[state[idx]], sigma[state[idx]], holding[idx])
+        if idx.size:
+            state[idx] = targets
+        _log_update(ylog, ymaxlog, coefficient, rng, bridge_max, z, u, work)
 
-        remaining = np.full(n, dt)
-        holding, nxt, jumped = _step_jumps(rates, cdf, state, remaining, rng)
-        seg = np.where(jumped, holding, remaining)
-        _log_update(ylog, ymaxlog, mu[state], sigma[state], seg, rng, bridge_max)
-        state = nxt
-        remaining -= seg
-        idx = np.flatnonzero(jumped)
         rounds = 0
         while idx.size:
             rounds += 1
             if rounds > _MAX_JUMP_ROUNDS:
                 raise RuntimeError("regime jump loop did not terminate; check Q scaling")
-            sub_state = state[idx]
-            sub_rem = remaining[idx]
-            holding, nxt, jumped = _step_jumps(rates, cdf, sub_state, sub_rem, rng)
-            seg = np.where(jumped, holding, sub_rem)
-            ylog_sub = ylog[idx]
-            ymaxlog_sub = ymaxlog[idx]
-            _log_update(ylog_sub, ymaxlog_sub, mu[sub_state], sigma[sub_state], seg, rng, bridge_max)
-            ylog[idx] = ylog_sub
-            ymaxlog[idx] = ymaxlog_sub
-            state[idx] = nxt
-            remaining[idx] = sub_rem - seg
-            idx = idx[jumped]
+            sub = state[idx]
+            holding, jumped_sub, jidx, targets = _step_jumps(rates, cdf, sub, remaining, rng)
+            coefs = _coefficients(mu[sub], sigma[sub], np.where(jumped_sub, holding, remaining))
+            ylog_sub, ymaxlog_sub = ylog[idx], ymaxlog[idx]
+            _log_update(ylog_sub, ymaxlog_sub, lambda i, out: coefs[i], rng, bridge_max)
+            ylog[idx], ymaxlog[idx] = ylog_sub, ymaxlog_sub
+            sub[jidx] = targets
+            state[idx] = sub
+            remaining = remaining[jidx] - holding[jidx]
+            idx = idx[jidx]
         if on_step is not None:
             on_step(k + 1, state, ylog, ymaxlog)
     return state, ylog, ymaxlog
-
-
-def _block_sizes(n_paths: int):
-    sizes = [BLOCK_SIZE] * (n_paths // BLOCK_SIZE)
-    if n_paths % BLOCK_SIZE:
-        sizes.append(n_paths % BLOCK_SIZE)
-    return sizes
 
 
 def map_blocks(model, times, j0, n_paths, seed, bridge_max, block):
@@ -182,7 +172,7 @@ def map_blocks(model, times, j0, n_paths, seed, bridge_max, block):
     lock); results come back in block order, so sums over them have a fixed
     reduction order.
     """
-    sizes = _block_sizes(n_paths)
+    sizes = [min(BLOCK_SIZE, n_paths - lo) for lo in range(0, n_paths, BLOCK_SIZE)]
 
     def run(b):
         on_step, finish = block(b * BLOCK_SIZE, sizes[b])

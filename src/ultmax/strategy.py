@@ -114,18 +114,19 @@ def _regret_pass(model, policies, j0, n_paths, n_steps, seed, bridge_max):
     P = len(policies)
 
     def block(lo, size):
-        stopped = np.zeros((P, size), dtype=bool)
+        running = np.ones((P, size), dtype=bool)
         log_y_tau = np.zeros((P, size))
+        xlog, level, newly = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
 
         def on_step(k, state, ylog, ymaxlog):
             # Ratio process from x0 = 1 in log scale; info up to this step only.
-            xlog = np.maximum(0.0, ymaxlog) - ylog
+            np.subtract(np.maximum(0.0, ymaxlog, out=xlog), ylog, out=xlog)
             for p in range(P):
-                hit = xlog >= thresholds[p][k, state]
-                newly = hit & ~stopped[p]
+                np.greater_equal(xlog, thresholds[p][k].take(state, out=level, mode="clip"), out=newly)
+                np.logical_and(newly, running[p], out=newly)
                 if newly.any():
                     log_y_tau[p][newly] = ylog[newly]
-                    stopped[p][newly] = True
+                    running[p][newly] = False
 
         def finish(state, ylog, ymaxlog):
             regrets = np.exp(ymaxlog[None, :] - log_y_tau)

@@ -46,7 +46,7 @@ class LVInterpolator:
 
     def __init__(self, surfaces: ValueSurfaces):
         self.grid = surfaces.grid
-        self.lv = discrete_generator_image(surfaces)
+        self.lv = discrete_generator_image(surfaces).reshape(self.grid.n_t, -1)  # (time, x node * m + regime)
         self.n_extrapolated = 0
         self._count_lock = threading.Lock()  # Monte Carlo blocks call this concurrently
 
@@ -61,14 +61,25 @@ class LVInterpolator:
         n_over = int(np.count_nonzero(logx > grid.z_max))
         with self._count_lock:
             self.n_extrapolated += n_over
-        zz = np.clip(logx, 0.0, grid.z_max)
-        iz = np.minimum((zz / dz).astype(np.int64), grid.n_x - 2)
-        wz = zz / dz - iz
+        # Work arrays in one allocation, so a step frees few block-sized chunks; i0 indexes (iz, regime).
+        (a, b, wz, omw), i0 = np.empty((4, logx.shape[0])), np.empty(logx.shape[0], dtype=np.int64)
+        np.divide(np.clip(logx, 0.0, grid.z_max, out=wz), dz, out=wz)
+        np.minimum(wz, grid.n_x - 2, out=i0, casting="unsafe")  # truncates, as astype does
+        wz -= i0
+        i0 *= grid.m
+        i0 += regime
+        np.subtract(1, wz, out=omw)
 
         lv0, lv1 = self.lv[it], self.lv[min(it + 1, grid.n_t - 1)]
-        a = lv0[iz, regime] * (1 - wz) + lv0[iz + 1, regime] * wz
-        b = lv1[iz, regime] * (1 - wz) + lv1[iz + 1, regime] * wz
-        return a * (1 - wt) + b * wt
+        np.multiply(lv0.take(i0, out=a, mode="clip"), omw, out=a)
+        np.multiply(lv1.take(i0, out=b, mode="clip"), omw, out=b)
+        i0 += grid.m
+        a += np.multiply(lv0.take(i0, out=omw, mode="clip"), wz, out=omw)
+        b += np.multiply(lv1.take(i0, out=omw, mode="clip"), wz, out=omw)
+        a *= 1 - wt
+        b *= wt
+        a += b
+        return a
 
 
 def estimate_J(
@@ -200,12 +211,15 @@ def volterra_residual(
 
                 def block(lo, size):
                     kint = np.zeros(size)
+                    xlog, b_here, past = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
 
                     def on_step(q, state, ylog, ymaxlog):
-                        xlog = np.maximum(logb0, ymaxlog) - ylog
+                        np.subtract(np.maximum(logb0, ymaxlog, out=xlog), ylog, out=xlog)
                         vals = lv(times[q], xlog, state)
-                        vals *= np.exp(xlog) > b_at[q, state]
-                        np.add(kint, weights[q] * vals, out=kint)
+                        np.greater(np.exp(xlog, out=xlog), b_at[q].take(state, out=b_here, mode="clip"), out=past)
+                        vals *= past
+                        vals *= weights[q]
+                        np.add(kint, vals, out=kint)
 
                     def finish(state, ylog, ymaxlog):
                         xT = np.exp(np.maximum(logb0, ymaxlog) - ylog)

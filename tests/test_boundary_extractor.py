@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from ultmax import pinned
-from ultmax.boundary import NonMonotoneSlice, check_boundary_monotone, extract_boundary
+from ultmax.boundary import Boundary, NonMonotoneSlice, check_boundary_monotone, extract_boundary
 from ultmax.gain import g_pde
 from ultmax.grids import Grid, Surface
 from ultmax.model import NotApplicable, RegimeModel, validate
@@ -43,6 +45,30 @@ def test_at_maturity_boundary_is_sentinel_before_horizon():
     b = extract_boundary(S, tol_abs=0.0)
     assert np.all(b.is_sentinel()[:-1])
     assert np.all(b.b_raw[-1] == 1.0)
+
+
+def test_sentinel_runs_are_flat_without_a_warning():
+    # Before the horizon the at-maturity boundary is a run of +inf sentinels.
+    _, S = solve(AT_MATURITY, n_x=40, n_t=20)
+    b = extract_boundary(S, tol_abs=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = check_boundary_monotone(b, AT_MATURITY)
+    assert (rep.n_violations, rep.max_jump_cells, rep.max_jump_per_sqrt_dt) == (0, 0.0, 0.0)
+
+
+def test_monotone_report_across_sentinels():
+    # Per regime: sentinel runs, finite -> sentinel rises (violations),
+    # sentinel -> finite falls (not finite moves) and finite moves.
+    grid = Grid.for_model(FIG, n_x=12, n_t=5)
+    levels = np.array([[np.inf, np.inf], [np.inf, 1.3], [1.2, np.inf], [np.inf, 1.25], [1.1, 1.1], [1.0, 1.0]])
+    b = Boundary(levels, levels, np.zeros(levels.shape, dtype=int), 0.0, grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = check_boundary_monotone(b, FIG)
+    assert rep.n_violations == 2
+    assert rep.max_jump_cells == 0.6633299339574351
+    assert rep.max_jump_per_sqrt_dt == 0.40424461494971375
 
 
 def test_terminal_anchor(fig):

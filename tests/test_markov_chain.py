@@ -5,13 +5,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ultmax.markov import (
+    _step_jumps,
+    embedded_jump_cdf,
     sample_chain,
-    sample_step_jumps,
     stationary_distribution,
     transition_matrix,
 )
 
 FIG_Q = np.array([[-2.5, 2.5], [2.0, -2.0]])
+
+
+def sample_step_jumps(Q, states, remaining, rng):
+    """(holding, next_state, jumped) over one interval from the path engine's jump proposal."""
+    Q = np.asarray(Q, dtype=float)
+    holding, jumped, idx, targets = _step_jumps(-np.diag(Q), embedded_jump_cdf(Q), states, remaining, rng)
+    next_state = states.copy()
+    next_state[idx] = targets
+    return holding, next_state, jumped
 
 
 def taylor_expm(Q, dt, terms=20):

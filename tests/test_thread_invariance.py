@@ -17,13 +17,24 @@ from ultmax import paths, pinned
 from ultmax.boundary import extract_boundary
 from ultmax.gain import g_pde
 from ultmax.grids import Grid
-from ultmax.model import validate
+from ultmax.model import RegimeModel, validate
 from ultmax.strategy import Policy, compare_policies
 from ultmax.value import solve_value
 from ultmax.volterra import LVInterpolator, volterra_residual
 
 FIG = validate(pinned.make_model(pinned.FIGURE_MODEL))
 N_PATHS = 140_000
+
+# Regime 1 absorbs and regime 2 leaves at rate 40: steps with several jump
+# rounds, whose subsets differ from block to block.
+M3_ABSORBING = validate(
+    RegimeModel(
+        mu=(0.1, 0.05, 0.2),
+        sigma=(0.3, 0.4, 0.25),
+        Q=((-3.0, 1.0, 2.0), (0.0, 0.0, 0.0), (30.0, 10.0, -40.0)),
+        T=0.5,
+    )
+)
 
 
 def at_threads(monkeypatch, fn):
@@ -62,6 +73,18 @@ def test_block_results_come_back_in_block_order(monkeypatch):
 
 def test_simulated_paths_do_not_depend_on_threads(monkeypatch):
     one, two = at_threads(monkeypatch, lambda: paths.simulate_paths(FIG, 0.0, 1, N_PATHS, 8, seed=61, bridge_max=True))
+    assert np.array_equal(one.states, two.states)
+    assert np.array_equal(one.y, two.y)
+    assert np.array_equal(one.ymax, two.ymax)
+
+
+@pytest.mark.parametrize("bridge_max", [True, False])
+def test_absorbing_three_regime_paths_do_not_depend_on_threads(monkeypatch, bridge_max):
+    # Each block steps through its own scratch arrays; two blocks at once must
+    # not see each other's draws, holding times or jump subsets.
+    one, two = at_threads(
+        monkeypatch, lambda: paths.simulate_paths(M3_ABSORBING, 0.0, 2, N_PATHS, 10, seed=64, bridge_max=bridge_max)
+    )
     assert np.array_equal(one.states, two.states)
     assert np.array_equal(one.y, two.y)
     assert np.array_equal(one.ymax, two.ymax)
