@@ -19,7 +19,7 @@ from .model import (
     validate,
 )
 from .grids import Grid, Surface, default_z_max, truncation_tail_bound
-from .markov import ChainPath, sample_chain, stationary_distribution, transition_matrix
+from .markov import stationary_distribution, transition_matrix
 from .paths import PathBundle, lift_to_x, simulate_paths
 from .stepping import GridTooCoarse
 from .gain import dG_dx, g_monte_carlo, g_pde, h_level, lg

@@ -161,15 +161,16 @@ def build_model(cfg: dict) -> RegimeModel:
 def build_grid(cfg: dict, model: RegimeModel, n_t_override: int | None = None) -> Grid:
     n_x = _need(cfg, "grid.n_x", int, 400, minimum=3)
     n_t = n_t_override if n_t_override is not None else _need(cfg, "grid.n_t", int, 200, minimum=1)
+    z_max = _need(cfg, "grid.z_max", float, None)
     try:
-        return Grid.for_model(model, n_x=n_x, n_t=n_t, z_max=_need(cfg, "grid.z_max", float, None))
-    except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from exc
+        return Grid.for_model(model, n_x=n_x, n_t=n_t, z_max=z_max)
+    except ValueError as exc:  # n_x and n_t are checked above, so it is z_max
+        raise ConfigError(f"grid.z_max: {exc}") from exc
 
 
 def run_seed(cfg: dict, seed_override: int | None, default=_REQUIRED) -> int:
     """``--seed`` if given, else ``mc.seed`` (runs are never seeded from the clock)."""
-    return seed_override if seed_override is not None else _need(cfg, "mc.seed", int, default)
+    return seed_override if seed_override is not None else _need(cfg, "mc.seed", int, default, minimum=0)
 
 
 def mc_settings(cfg: dict, seed_override: int | None) -> dict:
@@ -511,10 +512,15 @@ def run(subcommand: str, args) -> int:
         return EXIT_PROPERTY
 
 
-def _thread_count(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return int(text)
+def _at_least(low: int):
+    """An argparse type: a decimal integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"expected an integer of at least {low}, got {text!r}")
+        return int(text)
+
+    return parse
 
 
 def main(argv=None) -> int:
@@ -525,9 +531,9 @@ def main(argv=None) -> int:
     parser.add_argument("subcommand", choices=sorted(COMMANDS))
     parser.add_argument("--config", required=True, help="path to the YAML run configuration")
     parser.add_argument("--out", default=None, help="output directory (overrides config `outputs`)")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
+    parser.add_argument("--seed", type=_at_least(0), default=None, help="override the config seed")
     parser.add_argument(
-        "--threads", type=_thread_count, default=len(os.sched_getaffinity(0)),
+        "--threads", type=_at_least(1), default=len(os.sched_getaffinity(0)),
         help="worker threads for Monte Carlo blocks (default: the available cores; outputs do not depend on it)",
     )
     parser.add_argument("--paths-dump", action="store_true", help="also dump simulated paths (debugging)")

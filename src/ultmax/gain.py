@@ -23,7 +23,7 @@ import numpy as np
 
 from .grids import Grid, Surface
 from .model import ValidatedModel
-from .paths import mean_se, reduce_terminal
+from .paths import mean_se, moments, reduce_terminal
 from .stepping import BackwardStepper
 
 __all__ = ["g_monte_carlo", "g_pde", "dG_dx", "lg", "h_level"]
@@ -56,10 +56,9 @@ def g_monte_carlo(
     logx = np.log(x)
 
     def block_stats(state, ylog, ymaxlog):
-        g = np.exp(np.maximum(logx, ymaxlog))
-        return np.array([g.sum(), (g * g).sum(), g.shape[0]])
+        return moments(np.exp(np.maximum(logx, ymaxlog)))
 
-    return mean_se(*np.sum(reduce_terminal(model, t, j, n_paths, n_steps, seed, bridge_max, block_stats), axis=0))
+    return mean_se(reduce_terminal(model, t, j, n_paths, n_steps, seed, bridge_max, block_stats), n_paths)[0]
 
 
 def g_pde(model: ValidatedModel, grid: Grid) -> Surface:

@@ -73,8 +73,8 @@ class Grid:
         if n_t < 1:
             raise ValueError("need at least 1 time step")
         zm = default_z_max(model) if z_max is None else float(z_max)
-        if zm <= 0.0:
-            raise ValueError("z_max must be positive")
+        if not 0.0 < zm < np.inf:
+            raise ValueError(f"z_max must be positive and finite, got {zm}")
         return cls(np.linspace(0.0, zm, n_x), np.linspace(0.0, model.T, n_t + 1), model.m)
 
     @property

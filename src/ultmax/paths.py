@@ -16,9 +16,10 @@ draws for a step never influence earlier steps.  Every simulation runs
 through :func:`map_blocks`, the one owner of the block partition and of the
 order in which block results come back; it runs blocks on ``threads`` worker
 threads (numpy releases the GIL in the random fills and array ufuncs), and no
-output depends on that count.  :func:`mean_se` is the one reducer from summed
-moments to (mean, standard error).  Each block steps through scratch arrays of
-its own, so no step allocates a block-sized array and no two blocks share one.
+output depends on that count.  Blocks return :func:`moments` of their samples,
+which :func:`mean_se` adds in block order into (mean, standard error).  Each
+block steps through scratch arrays of its own, so no step allocates a
+block-sized array and no two blocks share one.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ __all__ = [
     "simulate_paths",
     "lift_to_x",
     "map_blocks",
+    "moments",
     "mean_se",
     "reduce_terminal",
     "BLOCK_SIZE",
@@ -182,11 +184,15 @@ def map_blocks(model, times, j0, n_paths, seed, bridge_max, block):
         return list(pool.map(run, range(len(sizes))))
 
 
-def mean_se(total, total_sq, n) -> tuple[float, float]:
-    """(mean, standard error of the mean) from a sum, a sum of squares and n."""
-    mean = total / n
-    var = max(total_sq / n - mean**2, 0.0)
-    return float(mean), float(np.sqrt(var / n))
+def moments(*samples) -> np.ndarray:
+    """One block's (sum, sum of squares) of each per-path sample array, for :func:`mean_se`."""
+    return np.array([(s.sum(), (s * s).sum()) for s in samples])
+
+
+def mean_se(blocks, n) -> list[tuple[float, float]]:
+    """(mean, standard error) over n paths of each sample, from the blocks' :func:`moments` added in order."""
+    means = [(total / n, total_sq / n) for total, total_sq in sum(blocks)]
+    return [(float(mean), float(np.sqrt(max(sq - mean**2, 0.0) / n))) for mean, sq in means]
 
 
 def simulate_paths(

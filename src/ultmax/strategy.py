@@ -15,13 +15,14 @@ estimates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .boundary import Boundary
 from .model import ValidatedModel
-from .paths import map_blocks, mean_se
+from .paths import map_blocks, mean_se, moments
 
 __all__ = ["Policy", "RegretEstimate", "PairedComparison", "evaluate_policy", "compare_policies"]
 
@@ -106,9 +107,9 @@ def _stop_log_levels(policy: Policy, model: ValidatedModel, times: np.ndarray) -
     return thr
 
 
-def _regret_pass(model, policies, j0, n_paths, n_steps, seed, bridge_max):
-    """One streaming pass: per-policy regret sums and sums of squares, and
-    the same for every pairwise difference, summed over blocks in order."""
+def _regret_means(model, policies, j0, n_paths, n_steps, seed, bridge_max):
+    """One streaming pass: (mean, SE) of each policy's regret, then of every
+    pairwise difference in ``combinations`` order."""
     times = np.linspace(0.0, model.T, n_steps + 1)
     thresholds = [_stop_log_levels(p, model, times) for p in policies]
     P = len(policies)
@@ -130,17 +131,11 @@ def _regret_pass(model, policies, j0, n_paths, n_steps, seed, bridge_max):
 
         def finish(state, ylog, ymaxlog):
             regrets = np.exp(ymaxlog[None, :] - log_y_tau)
-            pair_sum, pair_sumsq = np.zeros((P, P)), np.zeros((P, P))
-            for a in range(P):
-                for b in range(a + 1, P):
-                    d = regrets[a] - regrets[b]
-                    pair_sum[a, b], pair_sumsq[a, b] = d.sum(), (d**2).sum()
-            return regrets.sum(axis=1), (regrets**2).sum(axis=1), pair_sum, pair_sumsq
+            return moments(*regrets, *(a - b for a, b in combinations(regrets, 2)))
 
         return on_step, finish
 
-    blocks = map_blocks(model, times, j0, n_paths, seed, bridge_max, block)
-    return tuple(sum(parts) for parts in zip(*blocks))
+    return mean_se(map_blocks(model, times, j0, n_paths, seed, bridge_max, block), n_paths)
 
 
 def evaluate_policy(
@@ -153,8 +148,8 @@ def evaluate_policy(
     bridge_max: bool = True,
 ) -> RegretEstimate:
     """Monte Carlo regret of one policy started at t = 0, ratio 1, regime j0."""
-    sums, sumsq, _, _ = _regret_pass(model, [policy], j0, n_paths, n_steps, seed, bridge_max)
-    return RegretEstimate(*mean_se(sums[0], sumsq[0], n_paths), n_paths, policy)
+    (regret,) = _regret_means(model, [policy], j0, n_paths, n_steps, seed, bridge_max)
+    return RegretEstimate(*regret, n_paths, policy)
 
 
 def compare_policies(
@@ -173,13 +168,11 @@ def compare_policies(
     """
     if len(policies) < 2:
         raise ValueError("need at least two policies to compare")
-    sums, sumsq, pair_sum, pair_sumsq = _regret_pass(model, list(policies), j0, n_paths, n_steps, seed, bridge_max)
-    n = n_paths
-    estimates = [RegretEstimate(*mean_se(sums[p], sumsq[p], n), n, pol) for p, pol in enumerate(policies)]
+    means = _regret_means(model, list(policies), j0, n_paths, n_steps, seed, bridge_max)
+    estimates = [RegretEstimate(*ms, n_paths, pol) for ms, pol in zip(means, policies)]
     pairs = [
-        PairedComparison(policies[a].name(), policies[b].name(), *mean_se(pair_sum[a, b], pair_sumsq[a, b], n))
-        for a in range(len(policies))
-        for b in range(a + 1, len(policies))
+        PairedComparison(a.name(), b.name(), *ms)
+        for ms, (a, b) in zip(means[len(policies):], combinations(policies, 2))
     ]
     order = np.argsort([e.mean for e in estimates], kind="stable")
     return [estimates[i] for i in order], pairs

@@ -29,7 +29,7 @@ import numpy as np
 from .boundary import Boundary
 from .markov import derive_seed
 from .model import ValidatedModel
-from .paths import map_blocks, mean_se, reduce_terminal
+from .paths import map_blocks, mean_se, moments, reduce_terminal
 from .value import ValueSurfaces, discrete_generator_image
 
 __all__ = ["VolterraReport", "estimate_J", "estimate_K", "volterra_residual", "LVInterpolator"]
@@ -103,10 +103,9 @@ def estimate_J(
     logx = np.log(x)
 
     def stats(state, ylog, ymaxlog):
-        xr = np.exp(np.maximum(logx, ymaxlog) - ylog)
-        return np.array([xr.sum(), (xr * xr).sum(), xr.shape[0]])
+        return moments(np.exp(np.maximum(logx, ymaxlog) - ylog))
 
-    return mean_se(*np.sum(reduce_terminal(model, t, j, n_paths, n_steps, seed, bridge_max, stats), axis=0))
+    return mean_se(reduce_terminal(model, t, j, n_paths, n_steps, seed, bridge_max, stats), n_paths)[0]
 
 
 def estimate_K(
@@ -141,12 +140,9 @@ def estimate_K(
 
     def stats(state, ylog, ymaxlog):
         xlog = np.maximum(logx, ymaxlog) - ylog
-        vals = lv(r, xlog, state) * (np.exp(xlog) > b_here[state])
-        return np.array([vals.sum(), (vals * vals).sum(), vals.shape[0]])
+        return moments(lv(r, xlog, state) * (np.exp(xlog) > b_here[state]))
 
-    return mean_se(
-        *np.sum(reduce_terminal(model, t, j, n_paths, n_steps, seed, bridge_max, stats, t_end=r), axis=0)
-    )
+    return mean_se(reduce_terminal(model, t, j, n_paths, n_steps, seed, bridge_max, stats, t_end=r), n_paths)[0]
 
 
 @dataclass
@@ -166,7 +162,9 @@ class VolterraReport:
     n_extrapolated: int = 0
 
     def median_abs_relative(self) -> float:
-        return float(np.median(np.abs(self.relative_residual)))
+        """Median of |relative_residual|; nan for a report with no rows."""
+        rel = self.relative_residual
+        return float(np.median(np.abs(rel))) if rel.size else float("nan")
 
 
 def volterra_residual(
@@ -222,14 +220,12 @@ def volterra_residual(
                         np.add(kint, vals, out=kint)
 
                     def finish(state, ylog, ymaxlog):
-                        xT = np.exp(np.maximum(logb0, ymaxlog) - ylog)
-                        return np.array([xT.sum(), (xT * xT).sum(), kint.sum(), (kint * kint).sum(), size])
+                        return moments(np.exp(np.maximum(logb0, ymaxlog) - ylog), kint)
 
                     return on_step, finish
 
-                sums = sum(map_blocks(model, times, j, n_paths, derive_seed(seed, k, j), bridge_max, block))
-                J_m, J_s = mean_se(sums[0], sums[1], sums[4])
-                K_m, K_s = mean_se(sums[2], sums[3], sums[4])
+                blocks = map_blocks(model, times, j, n_paths, derive_seed(seed, k, j), bridge_max, block)
+                (J_m, J_s), (K_m, K_s) = mean_se(blocks, n_paths)
 
             res = lhs - (J_m - K_m)
             rows.append((t_k, j, b0, lhs, J_m, J_s, K_m, K_s, res, res / lhs))

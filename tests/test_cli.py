@@ -126,6 +126,14 @@ def test_non_positive_threads_exits_2(config, tmp_path, capsys, threads):
     assert not (tmp_path / "threads").exists()
 
 
+def test_negative_seed_exits_2(config, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("gcheck", config, tmp_path / "seed", ["--seed", "-3"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "seed").exists()
+
+
 def test_paths_dump_flag(config, tmp_path):
     out = tmp_path / "dump"
     assert run_cli("gcheck", config, out, ["--paths-dump"]) == 0
@@ -201,8 +209,14 @@ def test_csv_number_format_is_12_significant_digits(config, tmp_path):
         ("eval", "  seed: 4242", '  seed: 4242\n  bridge_max: "false"', "mc.bridge_max"),
         ("eval", '"at_maturity"]', '"at_maturity", {threshold: [1.05]}]', "eval.policies"),
         ("eval", '["boundary", "immediate", "at_maturity"]', "[]", "eval.policies"),
+        ("solve", "  n_t: 60", "  n_t: 60\n  z_max: .nan", "grid.z_max"),
+        ("solve", "  n_t: 60", "  n_t: 60\n  z_max: .inf", "grid.z_max"),
+        ("eval", "  seed: 4242", "  seed: -1", "mc.seed"),
     ],
-    ids=["n_x_text", "report_every_0", "n_quad_0", "bridge_max_text", "threshold_count", "no_policies"],
+    ids=[
+        "n_x_text", "report_every_0", "n_quad_0", "bridge_max_text", "threshold_count", "no_policies",
+        "z_max_nan", "z_max_inf", "seed_negative",
+    ],
 )
 def test_bad_config_value_exits_2_naming_the_key(config, tmp_path, capsys, sub, old, new, key):
     bad = config.parent / "badval.yaml"
@@ -210,6 +224,21 @@ def test_bad_config_value_exits_2_naming_the_key(config, tmp_path, capsys, sub, 
     assert bad.read_text() != config.read_text()
     assert run_cli(sub, bad, tmp_path / "badval") == 2
     assert key in capsys.readouterr().err
+
+
+def test_volterra_without_a_finite_boundary_node_reports_nan(config, tmp_path):
+    # The at-maturity family stops only at the horizon, and reporting every
+    # 5th of 12 time nodes never reaches it: the report has no rows.
+    text = config.read_text().replace("mu: [0.15, 0.05]", "mu: [0.3, 0.5]")
+    text = text.replace("sigma: [0.5, 0.3]", "sigma: [0.5, 0.7]").replace("n_t: 60", "n_t: 12")
+    mat = config.parent / "mat.yaml"
+    mat.write_text(text.replace("report_every: 30", "report_every: 5"))
+    out = tmp_path / "mat"
+    assert run_cli("volterra", mat, out) == 0
+    manifest = (out / "run_manifest.txt").read_text().splitlines()
+    assert "exercise_regime=exercise_at_maturity" in manifest
+    assert "median_abs_relative_residual=nan" in manifest
+    assert len((out / "volterra.csv").read_text().splitlines()) == 1
 
 
 def test_explicit_zero_tolerances_are_kept(config, tmp_path):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from ultmax.markov import (
     _step_jumps,
+    derive_rng,
     embedded_jump_cdf,
-    sample_chain,
     stationary_distribution,
     transition_matrix,
 )
@@ -22,6 +23,57 @@ def sample_step_jumps(Q, states, remaining, rng):
     next_state = states.copy()
     next_state[idx] = targets
     return holding, next_state, jumped
+
+
+@dataclass(frozen=True)
+class ChainPath:
+    """One sampled trajectory of the regime chain on [t0, T].
+
+    ``jump_times`` is strictly increasing; ``states[k]`` is the regime after
+    the k-th jump, so consecutive entries differ and the regime on
+    [jump_times[k], jump_times[k+1]) is states[k].
+    """
+
+    initial_state: int
+    jump_times: np.ndarray
+    states: np.ndarray
+
+    def state_at(self, t: float) -> int:
+        """Regime in force at time t (right-continuous)."""
+        k = int(np.searchsorted(self.jump_times, t, side="right"))
+        return self.initial_state if k == 0 else int(self.states[k - 1])
+
+
+def sample_chain(Q: np.ndarray, t0: float, T: float, j0: int, seed) -> ChainPath:
+    """Exact trajectory of the chain on [t0, T] started in regime j0.
+
+    Holding times are exponential with rate -q_jj drawn by inverse CDF on a
+    uniform, the next state proportional to off-diagonal row entries.  A zero
+    row (absorbing state) produces no further jumps.  Deterministic given seed.
+    """
+    if t0 > T:
+        raise ValueError("t0 must not exceed T")
+    Q = np.asarray(Q, dtype=float)
+    rng = derive_rng(seed)
+    jump_times = []
+    states = []
+    t = float(t0)
+    j = int(j0)
+    while True:
+        rate = -Q[j, j]
+        if rate <= 0.0:
+            break
+        # Inverse-CDF exponential keeps the draw reproducible across platforms.
+        t = t - np.log1p(-rng.random()) / rate
+        if t >= T:
+            break
+        probs = np.maximum(Q[j], 0.0)
+        probs[j] = 0.0
+        cdf = np.cumsum(probs / probs.sum())
+        j = int(np.searchsorted(cdf, rng.random(), side="right"))
+        jump_times.append(t)
+        states.append(j)
+    return ChainPath(int(j0), np.asarray(jump_times, dtype=float), np.asarray(states, dtype=np.int64))
 
 
 def taylor_expm(Q, dt, terms=20):

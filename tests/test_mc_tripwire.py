@@ -1,8 +1,9 @@
 """Bitwise tripwire for the Monte Carlo layer at small seeded sizes.
 
-Every estimate below runs 70 000 paths: one full 65 536-path block plus a
+Most estimates below run 70 000 paths: one full 65 536-path block plus a
 partial one, so the per-(block, step) random streams, the block partition and
-the order in which block results are summed all feed the pinned values.  The
+the order in which block results are summed all feed the pinned values; one
+case runs 18 blocks, so the order of a long block sum is pinned too.  The
 values are exact (``==``): a changed stream, partition or reduction order
 shows up here in the quick tier instead of only in the million-path goldens.
 """
@@ -86,6 +87,24 @@ def test_volterra_row_is_pinned(coarse):
     assert np.array_equal(rep.t, [0.0, 0.0, 0.5, 0.5]) and np.array_equal(rep.regime, [0, 1, 0, 1])
     assert (rep.J[0], rep.J_se[0]) == (1.4881706523513343, 0.0015608760630750952)
     assert (rep.K_integral[0], rep.K_se[0]) == (0.028142462569157298, 8.695746481875201e-05)
+
+
+def test_many_block_reductions_are_pinned():
+    n = 17 * BLOCK_SIZE + 5
+    assert g_monte_carlo(FIG, 0.0, 1.2, 0, n, seed=7, n_steps=1) == (1.3598582647262563, 0.00023854897802548768)
+    assert estimate_J(FIG, 0.0, 1.0, 1, n, seed=8, n_steps=1) == (1.2377230869574305, 0.00020568624239013675)
+    pols = [Policy.immediate(), Policy.at_maturity(), Policy.fixed_threshold([1.1, 1.2])]
+    ests, pairs = compare_policies(FIG, pols, 0, n, 2, seed=9)
+    assert [(e.policy.name(), e.mean, e.std_error) for e in ests] == [
+        ("threshold(1.1,1.2)", 1.2929569398440712, 0.00018956977451054592),
+        ("at_maturity", 1.300204977812956, 0.0002631156671924172),
+        ("immediate", 1.3136107698889274, 0.0002724264874830429),
+    ]
+    assert [(p.policy_a, p.policy_b, p.diff, p.diff_se) for p in pairs] == [
+        ("immediate", "at_maturity", 0.013405792075971564, 0.000430916105002303),
+        ("immediate", "threshold(1.1,1.2)", 0.020653830044856613, 0.00035855161409307666),
+        ("at_maturity", "threshold(1.1,1.2)", 0.007248037968885047, 0.00023016012210437845),
+    ]
 
 
 # Three regimes: regime 1 absorbs (a zero row of Q) and regime 2 leaves at rate
