@@ -125,7 +125,7 @@ def _need(cfg: dict, path: str, kind, default=_REQUIRED, minimum=None):
     if not isinstance(val, accepted) or (isinstance(val, bool) and kind is not bool):
         raise ConfigError(f"{path}: expected {kind.__name__}, got {type(val).__name__}")
     val = kind(val)
-    if minimum is not None and val < minimum:
+    if minimum is not None and not val >= minimum:  # nan fails too
         raise ConfigError(f"{path}: must be at least {minimum}, got {val}")
     return val
 
@@ -502,7 +502,7 @@ def run(subcommand: str, args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except GridTooCoarse as exc:
+    except (GridTooCoarse, np.linalg.LinAlgError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except (PropertyCheckFailure, NonMonotoneSlice) as exc:

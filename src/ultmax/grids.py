@@ -6,6 +6,7 @@ node and the PDE coefficients become constant per regime.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +32,47 @@ def default_z_max(model: ValidatedModel) -> float:
     return 4.0 * sig_max * np.sqrt(model.T) + max(0.0, drift) * model.T + np.log(2.0)
 
 
+# Cephes' erf and erfc rational approximations, as SciPy's ndtr evaluates them.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3, 7.00332514112805075473e3,
+          5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3, 2.26290000613890934246e4,
+          4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0, 4.86371970985681366614e1,
+           1.96520832956077098242e2, 5.26445194995477358631e2, 9.34528527171957607540e2, 1.02755188689515710272e3,
+           5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2, 9.75708501743205489753e2,
+           1.82390916687909736289e3, 2.24633760818710981792e3, 1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0, 6.16021097993053585195e0,
+           7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1, 1.70814450747565897222e1,
+           9.60896809063285878198e0, 3.36907645100081516050e0)
+_MAXLOG = 7.09782712893383996843e2  # log of the largest double
+
+
+def _polevl(x: float, coef, monic: bool = False) -> float:
+    """Horner's rule; ``monic`` prepends a leading coefficient of 1 (cephes p1evl)."""
+    ans = x + coef[0] if monic else coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _ndtr(a: float) -> float:
+    """Standard normal CDF, bit-identical to ``scipy.special.ndtr`` (cephes).
+
+    Only the branches of cephes' erf and erfc that ndtr reaches are kept:
+    erf below 1 in magnitude, and erfc of the magnitude from 1 on.
+    """
+    x = float(a) * math.sqrt(0.5)
+    z = abs(x)
+    if z < 1.0:
+        s = x * x
+        return 0.5 + 0.5 * (x * _polevl(s, _ERF_T) / _polevl(s, _ERF_U, True))
+    p, q = (_ERFC_P, _ERFC_Q) if z < 8.0 else (_ERFC_R, _ERFC_S)
+    y = 0.0 if z * z > _MAXLOG else 0.5 * (math.exp(-z * z) * _polevl(z, p) / _polevl(z, q, True))
+    return 1.0 - y if x > 0 else y
+
+
 def truncation_tail_bound(model: ValidatedModel, z_max: float) -> float:
     """Reflection-principle bound on P(sup log-path ratio > z_max), per regime.
 
@@ -38,14 +80,12 @@ def truncation_tail_bound(model: ValidatedModel, z_max: float) -> float:
     worst case; a diagnostic for whether a sentinel boundary could be a
     truncation artifact rather than maturity-only exercise.
     """
-    from scipy.special import ndtr
-
     worst = 0.0
     for j in range(model.m):
         nu = model.mu[j] - 0.5 * model.sigma[j] ** 2
         s = model.sigma[j] * np.sqrt(model.T)
         a = z_max
-        p = ndtr(-(a - nu * model.T) / s) + np.exp(2.0 * nu * a / model.sigma[j] ** 2) * ndtr(
+        p = _ndtr(-(a - nu * model.T) / s) + np.exp(2.0 * nu * a / model.sigma[j] ** 2) * _ndtr(
             -(a + nu * model.T) / s
         )
         worst = max(worst, float(p))

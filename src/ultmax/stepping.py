@@ -6,6 +6,11 @@ and reaction coefficients.  Each step applies the regime-coupling semigroup
 exp(Q dt) exactly (uniformization), then an implicit Euler step of the
 per-regime spatial operator, so every solve is tridiagonal.
 
+Each regime's matrix is constant, so it is factored once by LAPACK dgtsv's
+own elimination, row interchanges included (they depend on the matrix alone);
+a step replays dgtsv's forward and back substitution in Python floats, in its
+operation order, so every solution is bit-identical to dgtsv's.
+
 Boundary rows are built by ghost-node elimination: a reflecting edge
 (u_z = 0) at z = 0, and zero curvature in the price variable at z_max
 (x^2 f_xx = u_zz - u_z = 0), matching the linear-in-x far field of both
@@ -16,13 +21,12 @@ u ~ e^z and drags the top of the grid down by O(1).
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .grids import Grid
 from .model import ValidatedModel
 from .markov import transition_matrix
 
-__all__ = ["BackwardStepper", "GridTooCoarse", "COUPLING_DT_LIMIT"]
+__all__ = ["BackwardStepper", "GridTooCoarse", "Tridiagonal", "COUPLING_DT_LIMIT"]
 
 # Splitting accuracy guard on the regime-coupling magnitude per step.
 COUPLING_DT_LIMIT = 0.5
@@ -30,6 +34,62 @@ COUPLING_DT_LIMIT = 0.5
 
 class GridTooCoarse(ValueError):
     """Raised when the time step is too large for the split-step coupling."""
+
+
+class Tridiagonal:
+    """A constant tridiagonal matrix, factored once by dgtsv's elimination.
+
+    ``ab`` holds the matrix in ``solve_banded``'s (1, 1) layout: super-,
+    main and sub-diagonal in rows 0, 1 and 2 (``ab[0, 0]`` and ``ab[2, -1]``
+    unused).  Raises ``np.linalg.LinAlgError`` for a zero pivot ("singular
+    matrix") and for an entry or elimination result that is not finite.
+    """
+
+    def __init__(self, ab: np.ndarray):
+        up, d, lo = ab[0, 1:].copy(), ab[1].copy(), ab[2, :-1].copy()
+        n = d.shape[0]
+        fact, swap = np.zeros(n - 1), [False] * (n - 1)
+        fill = np.zeros(n)  # the second superdiagonal that interchanges create
+        with np.errstate(all="ignore"):  # non-finite results are refused below
+            for i in range(n - 1):
+                if abs(d[i]) >= abs(lo[i]):
+                    if d[i] == 0.0:
+                        raise np.linalg.LinAlgError("singular matrix")
+                    fact[i] = lo[i] / d[i]
+                    d[i + 1] = d[i + 1] - fact[i] * up[i]
+                else:  # interchange rows i and i + 1
+                    swap[i] = True
+                    fact[i] = d[i] / lo[i]
+                    d[i], d[i + 1], up[i] = lo[i], up[i] - fact[i] * d[i + 1], d[i + 1]
+                    if i + 2 < n:
+                        fill[i], up[i + 1] = up[i + 1], -fact[i] * up[i + 1]
+        if d[-1] == 0.0:
+            raise np.linalg.LinAlgError("singular matrix")
+        if not all(np.isfinite(a).all() for a in (fact, d, up, fill)):
+            raise np.linalg.LinAlgError("not finite after elimination (the coefficients overflow)")
+        self._forward = fact.tolist(), swap
+        # Rows n - 1 .. 0, the last two padded with zero superdiagonal terms:
+        # subtracting 0.0 * 0.0 = +0.0 leaves every float as it was, -0.0 too.
+        self._backward = d[::-1].tolist(), [0.0, *up[::-1].tolist()], fill[::-1].tolist()
+
+    def solve(self, rhs: list) -> list:
+        """The solution for the right-hand side ``rhs``, a list of floats."""
+        x, out = rhs[0], []
+        for f, swapped, y in zip(*self._forward, rhs[1:]):
+            if swapped:
+                out.append(y)
+                x = x - f * y
+            else:
+                out.append(x)
+                x = y - f * x
+        out.append(x)
+        x1 = x2 = 0.0
+        sol = []
+        for c, d, u, w in zip(reversed(out), *self._backward):
+            x1, x2 = (c - u * x1 - w * x2) / d, x1
+            sol.append(x1)
+        sol.reverse()
+        return sol
 
 
 class BackwardStepper:
@@ -50,7 +110,7 @@ class BackwardStepper:
 
         dz, dt = grid.dz, grid.dt
         n = grid.n_x
-        self._bands = []
+        self._solvers = []
         for j in range(model.m):
             D, a, r = self.diffusion[j], self.advection[j], self.reaction[j]
             lo = np.full(n, -dt * (D / dz**2 - a / (2 * dz)))
@@ -68,14 +128,17 @@ class BackwardStepper:
             ab[0, 1:] = up[:-1]
             ab[1, :] = di
             ab[2, :-1] = lo[1:]
-            self._bands.append(ab)
+            try:
+                self._solvers.append(Tridiagonal(ab))
+            except np.linalg.LinAlgError as exc:
+                raise np.linalg.LinAlgError(f"regime {j + 1}: lattice matrix: {exc}") from None
 
     def step(self, values: np.ndarray) -> np.ndarray:
         """Map the (n_x, m) slice at t_{k+1} to the slice at t_k."""
         coupled = values @ self.coupling.T
         out = np.empty_like(values)
-        for j in range(self.m):
-            out[:, j] = solve_banded((1, 1), self._bands[j], coupled[:, j])
+        for j, column in enumerate(coupled.T.tolist()):
+            out[:, j] = self._solvers[j].solve(column)
         return out
 
     def apply_spatial(self, values: np.ndarray) -> np.ndarray:

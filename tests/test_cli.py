@@ -1,5 +1,8 @@
 import csv
 import filecmp
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -171,6 +174,22 @@ def test_too_coarse_time_grid_exits_3(config, tmp_path):
     assert run_cli("solve", coarse, tmp_path / "coarse") == 3
 
 
+def test_overflowing_lattice_coefficients_exit_3(config, tmp_path):
+    # sigma^2 overflows to inf.  In a subprocess, because computing it warns
+    # and this suite turns RuntimeWarning into an error.
+    big = config.parent / "big.yaml"
+    big.write_text(config.read_text().replace("sigma: [0.5, 0.3]", "sigma: [1e300, 0.3]")
+                   .replace("n_t: 60", "n_t: 60\n  z_max: 2.0"))
+    out = tmp_path / "big"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "ultmax.cli", "solve", "--config", str(big), "--out", str(out)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert "solver error: regime 1: lattice matrix" in proc.stderr
+    assert not list(out.glob("*.csv"))
+
+
 def test_property_failures_exit_4(config, tmp_path, monkeypatch):
     # No organic trigger exists at sane settings (the projection yields
     # exactly clean upper sets), so exercise the exit-code contract directly.
@@ -212,10 +231,12 @@ def test_csv_number_format_is_12_significant_digits(config, tmp_path):
         ("solve", "  n_t: 60", "  n_t: 60\n  z_max: .nan", "grid.z_max"),
         ("solve", "  n_t: 60", "  n_t: 60\n  z_max: .inf", "grid.z_max"),
         ("eval", "  seed: 4242", "  seed: -1", "mc.seed"),
+        ("boundary", "volterra:\n", "tolerances: {tol_abs: .nan}\nvolterra:\n", "tolerances.tol_abs"),
+        ("solve", "volterra:\n", "tolerances: {eps_sign: .nan}\nvolterra:\n", "tolerances.eps_sign"),
     ],
     ids=[
         "n_x_text", "report_every_0", "n_quad_0", "bridge_max_text", "threshold_count", "no_policies",
-        "z_max_nan", "z_max_inf", "seed_negative",
+        "z_max_nan", "z_max_inf", "seed_negative", "tol_abs_nan", "eps_sign_nan",
     ],
 )
 def test_bad_config_value_exits_2_naming_the_key(config, tmp_path, capsys, sub, old, new, key):

@@ -1,0 +1,194 @@
+"""The library runs without SciPy, and its replacements match SciPy bit for bit.
+
+SciPy is a test dependency only: here it is the oracle for the lattice's
+tridiagonal solve (``scipy.linalg.solve_banded``, LAPACK dgtsv) and for the
+normal CDF of the truncation tail bound (``scipy.special.ndtr``).
+"""
+
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from scipy.linalg import solve_banded
+from scipy.special import ndtr
+
+import ultmax
+from ultmax import stepping
+from ultmax.grids import Grid, _ndtr
+from ultmax.model import RegimeModel, validate
+from ultmax.stepping import BackwardStepper, Tridiagonal
+
+
+def same_bits(got, expected):
+    got, expected = np.asarray(got, dtype=float), np.asarray(expected, dtype=float)
+    return got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+def banded(upper, diag, lower):
+    """``solve_banded``'s (1, 1) layout from the three diagonals."""
+    ab = np.zeros((3, len(diag)))
+    ab[0, 1:], ab[1], ab[2, :-1] = upper, diag, lower
+    return ab
+
+
+def test_random_systems_match_solve_banded():
+    rng = np.random.default_rng(20261018)
+    for trial in range(400):
+        n = int(rng.integers(2, 80))
+        ab = rng.normal(size=(3, n))
+        if trial % 2:  # diagonally dominant, as the lattice's are
+            ab[1] += 3.0 * np.sign(ab[1])
+        rhs = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
+        expected = solve_banded((1, 1), ab, rhs)
+        assert same_bits(Tridiagonal(ab).solve(rhs.tolist()), expected), (trial, n)
+
+
+@pytest.mark.parametrize(
+    "upper, diag, lower",
+    [
+        ([1.0, -2.0, 0.5], [0.1, 3.0, 0.2, 1.5], [4.0, 0.3, 2.5]),  # interchange at rows 0 and 2
+        ([1.0, 1.0, 1.0], [0.0, 2.0, 5.0, 1.0], [3.0, 1.0, 6.0]),  # zero leading pivot, then the last row
+        ([2.0, 7.0], [1.0, 1e-3, 2.0], [1e-9, 5.0]),  # interchange at the last row only
+    ],
+    ids=["rows_0_and_2", "zero_diagonal", "last_row"],
+)
+def test_row_interchanges_match_solve_banded(upper, diag, lower):
+    # dgtsv swaps rows i and i+1 when |d_i| < |l_i| at that point of the
+    # elimination; each matrix here is built to take that branch.
+    ab = banded(upper, diag, lower)
+    for rhs in ([1.0, -2.0, 3.0, 0.25][: len(diag)], [0.0, -0.0, 1e-300, -7.0][: len(diag)]):
+        assert same_bits(Tridiagonal(ab).solve(list(rhs)), solve_banded((1, 1), ab, rhs))
+
+
+@pytest.mark.parametrize(
+    "upper, diag, lower",
+    [([1.0, 1.0], [0.0, 2.0, 1.0], [0.0, 3.0]), ([1.0], [1.0, 1.0], [1.0])],
+    ids=["zero_first_column", "zero_last_pivot"],
+)
+def test_zero_pivot_raises_like_solve_banded(upper, diag, lower):
+    ab = banded(upper, diag, lower)
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+        solve_banded((1, 1), ab, np.ones(len(diag)))
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+        Tridiagonal(ab)
+
+
+@pytest.mark.parametrize(
+    "upper, diag, lower",
+    [([1.0, 1.0], [4.0, np.inf, 4.0], [1.0, 1.0]), ([1.0, 1.0], [4.0, 4.0, 4.0], [1.0, np.nan]),
+     ([1.5e308], [1.0, -1.5e308], [1.0])],  # the last: -1.5e308 - 1 * 1.5e308
+    ids=["inf_entry", "nan_entry", "overflowing_elimination"],
+)
+def test_non_finite_matrix_raises(upper, diag, lower):
+    with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+        Tridiagonal(banded(upper, diag, lower))
+
+
+def random_model(rng, m):
+    rates = rng.uniform(0.0, 4.0, size=(m, m))
+    np.fill_diagonal(rates, 0.0)
+    np.fill_diagonal(rates, -rates.sum(axis=1))
+    return validate(RegimeModel(
+        mu=rng.uniform(-0.4, 0.6, m).tolist(), sigma=rng.uniform(0.05, 1.2, m).tolist(),
+        Q=rates.tolist(), T=float(rng.uniform(0.1, 2.0)),
+    ))
+
+
+def test_stepper_matches_solve_banded_on_random_models(monkeypatch):
+    """Each step equals solve_banded on the matrices the stepper factored."""
+    matrices = []
+
+    class Recording(Tridiagonal):
+        def __init__(self, ab):
+            matrices.append(ab.copy())
+            super().__init__(ab)
+
+    monkeypatch.setattr(stepping, "Tridiagonal", Recording)
+    rng = np.random.default_rng(8)
+    shapes = [(5, 3), (12, 6), (60, 30), (120, 60), (400, 200), (1000, 800)]
+    for trial in range(16):
+        m = trial % 4 + 1
+        model = random_model(rng, m)
+        n_x, n_t = shapes[trial % len(shapes)]
+        n_t = max(n_t, math.ceil(2.0 * float(np.max(model.jump_rates())) * model.T) + 1)
+        z_max = float(rng.uniform(0.5, 4.0)) if trial % 3 else None
+        grid = Grid.for_model(model, n_x=n_x, n_t=n_t, z_max=z_max)
+        advection = rng.uniform(-1.0, 1.0, m)
+        reaction = rng.uniform(-0.5, 0.5, m) if trial % 2 else np.zeros(m)
+        matrices.clear()
+        stepper = BackwardStepper(model, grid, advection, reaction)
+        assert len(matrices) == m
+        values = np.exp(grid.z)[:, None] * rng.uniform(0.5, 1.5, (1, m))
+        for _ in range(3):
+            coupled = values @ stepper.coupling.T
+            expected = np.column_stack([solve_banded((1, 1), ab, coupled[:, j]) for j, ab in enumerate(matrices)])
+            values = stepper.step(values)
+            assert same_bits(values, expected), (trial, m, n_x, n_t)
+
+
+SQRT2 = math.sqrt(2.0)
+NDTR_ARGUMENTS = {
+    # |x| < sqrt 2: 0.5 + 0.5 erf(x / sqrt 2)
+    "erf": np.concatenate([np.linspace(-SQRT2, SQRT2, 20001)[1:-1], [1e-300, -1e-300, 5e-324]]),
+    # sqrt 2 <= |x| < 8 sqrt 2: erfc's first rational approximation
+    "erfc_near": np.concatenate([np.linspace(SQRT2, 8 * SQRT2, 20001)[:-1], -np.linspace(SQRT2, 8 * SQRT2, 20001)[:-1]]),
+    # 8 sqrt 2 <= |x| until exp underflows: erfc's second approximation
+    "erfc_far": np.concatenate([np.linspace(8 * SQRT2, 38.5, 20001), -np.linspace(8 * SQRT2, 38.5, 20001)]),
+    # x^2 / 2 above log(DBL_MAX): ndtr is exactly 0 or 1
+    "underflow": np.concatenate([-np.linspace(37.5, 40.0, 5001), np.linspace(37.5, 40.0, 5001), [-1e10, 1e10, -1e300, 1e300]]),
+    "edges": np.array([0.0, -0.0, SQRT2, -SQRT2, np.nextafter(SQRT2, 0.0), -np.nextafter(SQRT2, 0.0),
+                       8 * SQRT2, -8 * SQRT2, np.inf, -np.inf, np.nan]),
+}
+
+
+@pytest.mark.parametrize("branch", sorted(NDTR_ARGUMENTS))
+def test_ndtr_matches_scipy(branch):
+    x = NDTR_ARGUMENTS[branch]
+    got = np.array([_ndtr(v) for v in x])
+    expected = ndtr(x)
+    assert np.array_equal(np.isnan(got), np.isnan(expected))
+    keep = ~np.isnan(expected)
+    assert same_bits(got[keep], expected[keep])
+
+
+def test_random_ndtr_arguments_match_scipy():
+    rng = np.random.default_rng(5)
+    x = np.concatenate([rng.normal(0.0, 4.0, 50000), rng.uniform(-45.0, 45.0, 50000)])
+    assert same_bits([_ndtr(v) for v in x], ndtr(x))
+
+
+GUARD = """
+import json, runpy, sys
+sys.argv = ["ultmax", "--help"]
+try:
+    runpy.run_module("ultmax.cli", run_name="__main__", alter_sys=True)
+except SystemExit:
+    pass
+from ultmax import cli
+rc = cli.main(["solve", "--config", {cfg!r}, "--out", {out!r}])
+print(json.dumps([rc, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))]))
+"""
+
+
+def test_cli_imports_no_scipy(tmp_path):
+    cfg = tmp_path / "tiny.yaml"
+    cfg.write_text(
+        "model: {mu: [0.15, 0.05], sigma: [0.5, 0.3], q: [[-2.5, 2.5], [2.0, -2.0]], horizon: 0.5}\n"
+        "grid: {n_x: 12, n_t: 6}\nmc: {seed: 1}\n"
+    )
+    script = GUARD.format(cfg=str(cfg), out=str(tmp_path / "out"))
+    src = str(Path(ultmax.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert "usage: ultmax" in proc.stdout
+    rc, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
+    assert rc == 0
+    assert scipy_modules == []
+    assert (tmp_path / "out" / "value_surface.csv").is_file()
