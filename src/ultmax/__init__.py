@@ -20,7 +20,7 @@ from .model import (
 )
 from .grids import Grid, Surface, default_z_max, truncation_tail_bound
 from .markov import stationary_distribution, transition_matrix
-from .paths import PathBundle, lift_to_x, simulate_paths
+from .paths import PathBundle, simulate_paths
 from .stepping import GridTooCoarse
 from .gain import dG_dx, g_monte_carlo, g_pde, h_level, lg
 from .value import (
@@ -28,13 +28,12 @@ from .value import (
     check_F_monotone_t,
     check_normal_reflection,
     check_smooth_fit,
-    complementarity_gap,
     containment_violations,
     discrete_generator_image,
     solve_value,
 )
 from .boundary import Boundary, NonMonotoneSlice, check_boundary_monotone, extract_boundary
 from .volterra import VolterraReport, estimate_J, estimate_K, volterra_residual
-from .strategy import Policy, RegretEstimate, compare_policies, evaluate_policy
+from .strategy import Policy, RegretEstimate, compare_policies
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ import numpy as np
 from .grids import Grid
 from .model import NotApplicable
 
-__all__ = ["Boundary", "NonMonotoneSlice", "extract_boundary", "check_boundary_monotone"]
+__all__ = ["Boundary", "NonMonotoneSlice", "extract_boundary", "check_boundary_monotone", "upper_set_start"]
 
 # Isolated stopping nodes this far below the detected edge are treated as
 # projection noise; anything farther flags the slice.
@@ -64,6 +64,12 @@ def _median3(column: np.ndarray) -> np.ndarray:
     return np.median(stacked, axis=0)
 
 
+def upper_set_start(mask: np.ndarray) -> int:
+    """First node of the run of True that ends at the top node; ``len(mask)`` if the top node is False."""
+    below = np.flatnonzero(~mask)
+    return int(below[-1]) + 1 if below.size else 0
+
+
 def extract_boundary(surfaces, tol_abs: float) -> Boundary:
     """Locate the smallest level whose whole upper set has F >= -tol_abs.
 
@@ -83,10 +89,9 @@ def extract_boundary(surfaces, tol_abs: float) -> Boundary:
         for k in range(n_t1):
             col = f[k, :, j]
             stopping = col >= -tol_abs
-            if not stopping[-1]:
+            i_min = upper_set_start(stopping)
+            if i_min == grid.n_x:
                 continue  # sentinel: even the top node is continuation
-            non_stop = np.flatnonzero(~stopping)
-            i_min = 0 if non_stop.size == 0 else int(non_stop.max()) + 1
             if i_min > DISLOCATION_NODES and stopping[: i_min - DISLOCATION_NODES].any():
                 raise NonMonotoneSlice(
                     f"stopping nodes below the detected edge at t-node {k}, regime {j}; "

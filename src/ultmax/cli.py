@@ -35,7 +35,7 @@ from .markov import derive_seed
 from .model import ModelError, NotApplicable, RegimeModel, classify, validate
 from .paths import simulate_paths
 from .stepping import GridTooCoarse
-from .strategy import Policy, compare_policies, evaluate_policy
+from .strategy import Policy, compare_policies
 from .value import solve_value
 from .volterra import volterra_residual
 
@@ -432,13 +432,7 @@ def cmd_eval(args, cfg, out_dir):
     j0 = _start_regime(cfg, model.m)
     _, surfaces = _solve_all(model, grid)
     policies = _build_policies(cfg, model, surfaces, tols)
-    if len(policies) == 1:
-        est = evaluate_policy(model, policies[0], j0, mc["n_paths"], mc["n_steps"], mc["seed"], mc["bridge_max"])
-        estimates, pairs = [est], []
-    else:
-        estimates, pairs = compare_policies(
-            model, policies, j0, mc["n_paths"], mc["n_steps"], mc["seed"], mc["bridge_max"]
-        )
+    estimates, pairs = compare_policies(model, policies, j0, **mc)
     rows = [(e.policy.name(), j0 + 1, e.mean, e.std_error, e.n_paths) for e in estimates]
     _write_csv(out_dir / "eval.csv", ["policy", "j0", "mean", "std_error", "n_paths"], [zip(*rows)])
     rows = [(p.policy_a, p.policy_b, p.diff, p.diff_se) for p in pairs]

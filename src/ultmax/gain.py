@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .boundary import upper_set_start
 from .grids import Grid, Surface
 from .model import ValidatedModel
 from .paths import mean_se, moments, reduce_terminal
@@ -125,14 +126,5 @@ def h_level(surface_lg: Surface, grid: Grid, j: int, eps_sign: float) -> np.ndar
     nowhere).  Sign tests tighter than the scheme tolerance are meaningless,
     hence the eps_sign slack.
     """
-    v = surface_lg.values[:, :, j]
-    out = np.empty(v.shape[0])
-    for k in range(v.shape[0]):
-        bad = v[k] < -eps_sign
-        if bad[-1]:
-            out[k] = np.inf
-        elif not bad.any():
-            out[k] = grid.x[0]
-        else:
-            out[k] = grid.x[int(np.flatnonzero(bad).max()) + 1]
-    return out
+    levels = np.append(grid.x, np.inf)  # index n_x: even the top node dips below -eps_sign
+    return np.array([levels[upper_set_start(~(row < -eps_sign))] for row in surface_lg.values[:, :, j]])

@@ -57,6 +57,12 @@ def _polevl(x: float, coef, monic: bool = False) -> float:
     return ans
 
 
+def _half_erfc(z: float, log_scale: float = 0.0) -> float:
+    """exp(log_scale) * erfc(z) / 2 for z >= 1, by cephes' erfc approximations."""
+    p, q = (_ERFC_P, _ERFC_Q) if z < 8.0 else (_ERFC_R, _ERFC_S)
+    return 0.5 * (math.exp(log_scale - z * z) * _polevl(z, p) / _polevl(z, q, True))
+
+
 def _ndtr(a: float) -> float:
     """Standard normal CDF, bit-identical to ``scipy.special.ndtr`` (cephes).
 
@@ -68,8 +74,7 @@ def _ndtr(a: float) -> float:
     if z < 1.0:
         s = x * x
         return 0.5 + 0.5 * (x * _polevl(s, _ERF_T) / _polevl(s, _ERF_U, True))
-    p, q = (_ERFC_P, _ERFC_Q) if z < 8.0 else (_ERFC_R, _ERFC_S)
-    y = 0.0 if z * z > _MAXLOG else 0.5 * (math.exp(-z * z) * _polevl(z, p) / _polevl(z, q, True))
+    y = 0.0 if z * z > _MAXLOG else _half_erfc(z)
     return 1.0 - y if x > 0 else y
 
 
@@ -78,17 +83,22 @@ def truncation_tail_bound(model: ValidatedModel, z_max: float) -> float:
 
     Treats each regime as if frozen for the whole horizon and reports the
     worst case; a diagnostic for whether a sentinel boundary could be a
-    truncation artifact rather than maturity-only exercise.
+    truncation artifact rather than maturity-only exercise.  The reflected
+    term exp(A) * Phi(-B) is formed as one exponential where exp(A) would
+    overflow or Phi(-B) underflow to 0; A - B^2 / 2 <= 0, so that one cannot.
     """
     worst = 0.0
     for j in range(model.m):
         nu = model.mu[j] - 0.5 * model.sigma[j] ** 2
         s = model.sigma[j] * np.sqrt(model.T)
         a = z_max
-        p = _ndtr(-(a - nu * model.T) / s) + np.exp(2.0 * nu * a / model.sigma[j] ** 2) * _ndtr(
-            -(a + nu * model.T) / s
-        )
-        worst = max(worst, float(p))
+        big_a, big_b = 2.0 * nu * a / model.sigma[j] ** 2, (a + nu * model.T) / s
+        z = float(big_b) * math.sqrt(0.5)  # Phi(-B) = erfc(z) / 2
+        if big_a >= _MAXLOG or (z > 0.0 and z * z > _MAXLOG):
+            reflected = _half_erfc(z, float(big_a))
+        else:
+            reflected = np.exp(big_a) * _ndtr(-big_b)
+        worst = max(worst, float(_ndtr(-(a - nu * model.T) / s) + reflected))
     return worst
 
 

@@ -18,8 +18,8 @@ order in which block results come back; it runs blocks on ``threads`` worker
 threads (numpy releases the GIL in the random fills and array ufuncs), and no
 output depends on that count.  Blocks return :func:`moments` of their samples,
 which :func:`mean_se` adds in block order into (mean, standard error).  Each
-block steps through scratch arrays of its own, so no step allocates a
-block-sized array and no two blocks share one.
+block steps through scratch arrays of its own and no two blocks share data, so
+no step allocates a block-sized array and nothing takes a lock.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .model import ValidatedModel
 __all__ = [
     "PathBundle",
     "simulate_paths",
-    "lift_to_x",
     "map_blocks",
     "moments",
     "mean_se",
@@ -170,9 +169,8 @@ def map_blocks(model, times, j0, n_paths, seed, bridge_max, block):
     ``block(lo, size)`` returns ``(on_step, finish)``; ``on_step`` (or None)
     is passed to the block's step loop, and ``finish(state, log_y, log_ymax)``
     maps its final slice to a result.  Up to ``threads`` blocks run at once,
-    so these callbacks must write only their own block's data (or hold a
-    lock); results come back in block order, so sums over them have a fixed
-    reduction order.
+    so these callbacks must write only their own block's data; results come
+    back in block order, so sums over them have a fixed reduction order.
     """
     sizes = [min(BLOCK_SIZE, n_paths - lo) for lo in range(0, n_paths, BLOCK_SIZE)]
 
@@ -252,10 +250,3 @@ def reduce_terminal(
     """
     times = np.linspace(t0, model.T if t_end is None else t_end, n_steps + 1)
     return map_blocks(model, times, j0, n_paths, seed, bridge_max, lambda lo, size: (None, fn))
-
-
-def lift_to_x(bundle: PathBundle, x0: float) -> np.ndarray:
-    """Ratio process started at x0 >= 1: max(x0 * y[0], ymax[s]) / y[s]."""
-    if x0 < 1.0:
-        raise ValueError("x0 must be at least 1")
-    return np.maximum(x0 * bundle.y[:, :1], bundle.ymax) / bundle.y

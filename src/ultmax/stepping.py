@@ -39,14 +39,14 @@ class GridTooCoarse(ValueError):
 class Tridiagonal:
     """A constant tridiagonal matrix, factored once by dgtsv's elimination.
 
-    ``ab`` holds the matrix in ``solve_banded``'s (1, 1) layout: super-,
-    main and sub-diagonal in rows 0, 1 and 2 (``ab[0, 0]`` and ``ab[2, -1]``
-    unused).  Raises ``np.linalg.LinAlgError`` for a zero pivot ("singular
-    matrix") and for an entry or elimination result that is not finite.
+    ``lo``, ``d`` and ``up`` are its sub-, main and super-diagonal (n - 1, n
+    and n - 1 entries).  Raises ``np.linalg.LinAlgError`` for a zero pivot
+    ("singular matrix") and for an entry or elimination result that is not
+    finite.
     """
 
-    def __init__(self, ab: np.ndarray):
-        up, d, lo = ab[0, 1:].copy(), ab[1].copy(), ab[2, :-1].copy()
+    def __init__(self, lo, d, up):
+        lo, d, up = (np.array(a, dtype=float) for a in (lo, d, up))
         n = d.shape[0]
         fact, swap = np.zeros(n - 1), [False] * (n - 1)
         fill = np.zeros(n)  # the second superdiagonal that interchanges create
@@ -108,7 +108,9 @@ class BackwardStepper:
         self.diffusion = 0.5 * model.sigma**2
         self.coupling = transition_matrix(model.Q, grid.dt)
 
-        dz, dt = grid.dz, grid.dt
+        # A numpy float, so that a huge dz squares to inf (refused below) where a
+        # Python float's ** raises OverflowError; both call the same pow.
+        dz, dt = np.float64(grid.dz), grid.dt
         n = grid.n_x
         self._solvers = []
         for j in range(model.m):
@@ -117,19 +119,14 @@ class BackwardStepper:
             di = np.full(n, 1.0 + dt * (2 * D / dz**2 - r))
             up = np.full(n, -dt * (D / dz**2 + a / (2 * dz)))
             # z = 0: ghost reflection u_{-1} = u_1 kills the advection term.
-            di[0] = 1.0 + dt * (2 * D / dz**2 - r)
             up[0] = -dt * (2 * D / dz**2)
             # z_max: ghost chosen so u_zz = u_z (zero curvature in x); both
             # collapse to g * (u_{N-1} - u_{N-2}) / dz.
             g_edge = 1.0 / (1.0 - 0.5 * dz)
             lo[-1] = dt * (D + a) * g_edge / dz
             di[-1] = 1.0 - dt * ((D + a) * g_edge / dz + r)
-            ab = np.zeros((3, n))
-            ab[0, 1:] = up[:-1]
-            ab[1, :] = di
-            ab[2, :-1] = lo[1:]
             try:
-                self._solvers.append(Tridiagonal(ab))
+                self._solvers.append(Tridiagonal(lo[1:], di, up[:-1]))
             except np.linalg.LinAlgError as exc:
                 raise np.linalg.LinAlgError(f"regime {j + 1}: lattice matrix: {exc}") from None
 

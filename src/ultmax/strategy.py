@@ -24,7 +24,7 @@ from .boundary import Boundary
 from .model import ValidatedModel
 from .paths import map_blocks, mean_se, moments
 
-__all__ = ["Policy", "RegretEstimate", "PairedComparison", "evaluate_policy", "compare_policies"]
+__all__ = ["Policy", "RegretEstimate", "PairedComparison", "compare_policies"]
 
 
 @dataclass(frozen=True)
@@ -138,20 +138,6 @@ def _regret_means(model, policies, j0, n_paths, n_steps, seed, bridge_max):
     return mean_se(map_blocks(model, times, j0, n_paths, seed, bridge_max, block), n_paths)
 
 
-def evaluate_policy(
-    model: ValidatedModel,
-    policy: Policy,
-    j0: int,
-    n_paths: int,
-    n_steps: int,
-    seed,
-    bridge_max: bool = True,
-) -> RegretEstimate:
-    """Monte Carlo regret of one policy started at t = 0, ratio 1, regime j0."""
-    (regret,) = _regret_means(model, [policy], j0, n_paths, n_steps, seed, bridge_max)
-    return RegretEstimate(*regret, n_paths, policy)
-
-
 def compare_policies(
     model: ValidatedModel,
     policies: Sequence[Policy],
@@ -161,13 +147,13 @@ def compare_policies(
     seed,
     bridge_max: bool = True,
 ):
-    """Evaluate policies on shared paths; returns (estimates, paired diffs).
+    """Evaluate one or more policies on shared paths; returns (estimates, paired diffs).
 
-    Estimates come back sorted by mean regret (best first); the paired table
-    covers every ordered pair once.
+    Each starts at t = 0, ratio 1, regime j0.  Estimates come back sorted by
+    mean regret (best first); the paired table covers every pair once.
     """
-    if len(policies) < 2:
-        raise ValueError("need at least two policies to compare")
+    if not policies:
+        raise ValueError("need at least one policy")
     means = _regret_means(model, list(policies), j0, n_paths, n_steps, seed, bridge_max)
     estimates = [RegretEstimate(*ms, n_paths, pol) for ms, pol in zip(means, policies)]
     pairs = [

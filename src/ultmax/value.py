@@ -13,9 +13,8 @@ condition dV/dy = 0.
 The checks in this module quantify how well the solved surface honors the
 structural facts the solution must satisfy: smooth fit across the stopping
 boundary, normal reflection at the edge, monotonicity of F = V - G in time
-for nonnegative drifts, complementarity (either F = 0 or the generator
-residual vanishes), and strict containment of {LG < 0} in the continuation
-region.
+for nonnegative drifts, and strict containment of {LG < 0} in the
+continuation region.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ __all__ = [
     "check_smooth_fit",
     "check_normal_reflection",
     "check_F_monotone_t",
-    "complementarity_gap",
     "containment_violations",
 ]
 
@@ -158,14 +156,6 @@ def check_F_monotone_t(surfaces: ValueSurfaces, tol: float | None = None) -> Mon
         tol = 1e-6 * float(np.max(np.abs(f)))
     dec = f[:-1] - f[1:]
     return MonotoneReport(float(dec.max()), int(np.sum(dec > tol)), float(tol))
-
-
-def complementarity_gap(surfaces: ValueSurfaces) -> np.ndarray:
-    """Per-node min(|F|, |LV|): zero when either the obstacle binds or the
-    linear equation holds, which is the discrete complementarity statement."""
-    lv = discrete_generator_image(surfaces)
-    f = surfaces.F.values[:-1]
-    return np.minimum(np.abs(f), np.abs(lv))
 
 
 def containment_violations(surfaces: ValueSurfaces, surface_lg: Surface, eps_sign: float) -> np.ndarray:

@@ -21,7 +21,6 @@ boundary with the solved surface at Monte Carlo + quadrature accuracy.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,15 +39,13 @@ class LVInterpolator:
 
     The stencil output lives on time nodes 0 .. n_t - 1; queries beyond the
     last stencil time clamp to it, and log-ratios beyond the grid clamp to
-    z_max with a counter (``n_extrapolated``) since values out there are
-    dominated by the far-field linear behavior anyway.
+    z_max, since values out there are dominated by the far-field linear
+    behavior anyway (callers count such samples).
     """
 
     def __init__(self, surfaces: ValueSurfaces):
         self.grid = surfaces.grid
         self.lv = discrete_generator_image(surfaces).reshape(self.grid.n_t, -1)  # (time, x node * m + regime)
-        self.n_extrapolated = 0
-        self._count_lock = threading.Lock()  # Monte Carlo blocks call this concurrently
 
     def __call__(self, r: float, logx: np.ndarray, regime: np.ndarray) -> np.ndarray:
         grid = self.grid
@@ -58,9 +55,6 @@ class LVInterpolator:
         it = min(int(rr / dt), grid.n_t - 2) if grid.n_t >= 2 else 0
         wt = (rr - grid.t[it]) / dt
 
-        n_over = int(np.count_nonzero(logx > grid.z_max))
-        with self._count_lock:
-            self.n_extrapolated += n_over
         # Work arrays in one allocation, so a step frees few block-sized chunks; i0 indexes (iz, regime).
         (a, b, wz, omw), i0 = np.empty((4, logx.shape[0])), np.empty(logx.shape[0], dtype=np.int64)
         np.divide(np.clip(logx, 0.0, grid.z_max, out=wz), dz, out=wz)
@@ -151,7 +145,6 @@ class VolterraReport:
 
     t: np.ndarray
     regime: np.ndarray
-    level: np.ndarray
     lhs: np.ndarray
     J: np.ndarray
     J_se: np.ndarray
@@ -184,11 +177,13 @@ def volterra_residual(
     panels); J and the kernel integral share those paths, and the standard
     errors come from the per-path quadrature sums.  Quadrature-node and path
     parallelism both reduce in fixed order via per-(t, j) derived seeds.
+    Blocks count their LV samples beyond z_max into ``n_extrapolated``.
     """
     grid = surfaces.grid
     lv = LVInterpolator(surfaces)
     g = surfaces.G.values
     rows = []
+    n_extrapolated = 0
 
     for k in range(0, grid.n_t + 1, report_every):
         t_k = grid.t[k]
@@ -210,9 +205,11 @@ def volterra_residual(
                 def block(lo, size):
                     kint = np.zeros(size)
                     xlog, b_here, past = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
+                    n_over = np.zeros(1, dtype=np.int64)
 
                     def on_step(q, state, ylog, ymaxlog):
                         np.subtract(np.maximum(logb0, ymaxlog, out=xlog), ylog, out=xlog)
+                        n_over[0] += np.count_nonzero(np.greater(xlog, grid.z_max, out=past))
                         vals = lv(times[q], xlog, state)
                         np.greater(np.exp(xlog, out=xlog), b_at[q].take(state, out=b_here, mode="clip"), out=past)
                         vals *= past
@@ -220,17 +217,18 @@ def volterra_residual(
                         np.add(kint, vals, out=kint)
 
                     def finish(state, ylog, ymaxlog):
-                        return moments(np.exp(np.maximum(logb0, ymaxlog) - ylog), kint)
+                        return moments(np.exp(np.maximum(logb0, ymaxlog) - ylog), kint), int(n_over[0])
 
                     return on_step, finish
 
                 blocks = map_blocks(model, times, j, n_paths, derive_seed(seed, k, j), bridge_max, block)
-                (J_m, J_s), (K_m, K_s) = mean_se(blocks, n_paths)
+                (J_m, J_s), (K_m, K_s) = mean_se([stats for stats, _ in blocks], n_paths)
+                n_extrapolated += sum(count for _, count in blocks)
 
             res = lhs - (J_m - K_m)
-            rows.append((t_k, j, b0, lhs, J_m, J_s, K_m, K_s, res, res / lhs))
+            rows.append((t_k, j, lhs, J_m, J_s, K_m, K_s, res, res / lhs))
 
-    names = ("t", "regime", "level", "lhs", "J", "J_se", "K_integral", "K_se", "residual", "relative_residual")
+    names = ("t", "regime", "lhs", "J", "J_se", "K_integral", "K_se", "residual", "relative_residual")
     cols = dict(zip(names, np.array(rows, dtype=float).reshape(-1, len(names)).T))
     cols["regime"] = cols["regime"].astype(int)
-    return VolterraReport(**cols, n_extrapolated=lv.n_extrapolated)
+    return VolterraReport(**cols, n_extrapolated=n_extrapolated)

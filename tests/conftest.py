@@ -1,6 +1,16 @@
-"""Shared pytest wiring: the acceptance gate's per-criterion verdict lines."""
+"""Shared pytest wiring: the acceptance gate's per-criterion verdict lines,
+and the ratio-process oracle the path and policy tests share."""
+
+import numpy as np
 
 criterion_lines: list[str] = []
+
+
+def lift_to_x(bundle, x0: float) -> np.ndarray:
+    """Ratio process of a ``PathBundle`` started at x0 >= 1: max(x0 * y[0], ymax[s]) / y[s]."""
+    if x0 < 1.0:
+        raise ValueError("x0 must be at least 1")
+    return np.maximum(x0 * bundle.y[:, :1], bundle.ymax) / bundle.y
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ultmax import pinned
-from ultmax.boundary import Boundary, NonMonotoneSlice, check_boundary_monotone, extract_boundary
+from ultmax.boundary import Boundary, NonMonotoneSlice, check_boundary_monotone, extract_boundary, upper_set_start
 from ultmax.gain import g_pde
 from ultmax.grids import Grid, Surface
 from ultmax.model import NotApplicable, RegimeModel, validate
@@ -75,6 +75,14 @@ def test_terminal_anchor(fig):
     grid, S = fig
     b = extract_boundary(S, pinned.TOL_ABS_DEFAULT)
     assert np.all(np.abs(np.log(b.b_raw[-1])) <= grid.dz)
+
+
+@pytest.mark.parametrize(
+    "mask, start",
+    [([True, True, True], 0), ([True, False, True, True], 2), ([False, True, False], 3), ([False], 1)],
+)
+def test_upper_set_start_finds_the_top_run(mask, start):
+    assert upper_set_start(np.array(mask)) == start
 
 
 def test_upper_set_property(fig):

@@ -175,19 +175,21 @@ def test_too_coarse_time_grid_exits_3(config, tmp_path):
 
 
 def test_overflowing_lattice_coefficients_exit_3(config, tmp_path):
-    # sigma^2 overflows to inf.  In a subprocess, because computing it warns
-    # and this suite turns RuntimeWarning into an error.
-    big = config.parent / "big.yaml"
-    big.write_text(config.read_text().replace("sigma: [0.5, 0.3]", "sigma: [1e300, 0.3]")
-                   .replace("n_t: 60", "n_t: 60\n  z_max: 2.0"))
-    out = tmp_path / "big"
+    # sigma^2 overflows to inf; without grid.z_max, so does the default
+    # z_max's dz^2.  In a subprocess, because computing them warns and this
+    # suite turns RuntimeWarning into an error.
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-    proc = subprocess.run([sys.executable, "-m", "ultmax.cli", "solve", "--config", str(big), "--out", str(out)],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 3
-    assert "Traceback" not in proc.stderr
-    assert "solver error: regime 1: lattice matrix" in proc.stderr
-    assert not list(out.glob("*.csv"))
+    for name, grid_z_max in [("z_max_2", "\n  z_max: 2.0"), ("default_z_max", "")]:
+        big = config.parent / f"{name}.yaml"
+        big.write_text(config.read_text().replace("sigma: [0.5, 0.3]", "sigma: [1e300, 0.3]")
+                       .replace("n_t: 60", "n_t: 60" + grid_z_max))
+        out = tmp_path / name
+        proc = subprocess.run([sys.executable, "-m", "ultmax.cli", "solve", "--config", str(big), "--out", str(out)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 3, (name, proc.stderr[-500:])
+        assert "Traceback" not in proc.stderr, name
+        assert "solver error: regime 1: lattice matrix" in proc.stderr, name
+        assert not list(out.glob("*.csv")), name
 
 
 def test_property_failures_exit_4(config, tmp_path, monkeypatch):

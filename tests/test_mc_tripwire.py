@@ -19,7 +19,7 @@ from ultmax.gain import g_monte_carlo, g_pde
 from ultmax.grids import Grid
 from ultmax.model import RegimeModel, validate
 from ultmax.paths import BLOCK_SIZE, simulate_paths
-from ultmax.strategy import Policy, compare_policies, evaluate_policy
+from ultmax.strategy import Policy, compare_policies
 from ultmax.value import solve_value
 from ultmax.volterra import estimate_J, estimate_K, volterra_residual
 
@@ -65,7 +65,7 @@ def test_policy_comparison_is_pinned(coarse):
         ("immediate", "threshold(1.05,1.05)", 0.007623822945547407, 0.0005729619390071954),
         ("at_maturity", "threshold(1.05,1.05)", -0.005375246877781966, 0.0016263371318836308),
     ]
-    est = evaluate_policy(FIG, pols[0], 1, N_PATHS, 20, seed=2025)
+    est = compare_policies(FIG, [pols[0]], 1, N_PATHS, 20, seed=2025)[0][0]
     assert (est.mean, est.std_error) == (1.230970638340504, 0.0005098832077169333)
 
 

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from conftest import lift_to_x
+
 from ultmax.model import RegimeModel, validate
-from ultmax.paths import BLOCK_SIZE, PathBundle, lift_to_x, reduce_terminal, simulate_paths
+from ultmax.paths import BLOCK_SIZE, PathBundle, reduce_terminal, simulate_paths
 
 FIG = validate(RegimeModel(mu=[0.15, 0.05], sigma=[0.5, 0.3], Q=[[-2.5, 2.5], [2.0, -2.0]], T=0.5))
 SINGLE = validate(RegimeModel(mu=[0.05], sigma=[0.3], Q=[[0.0]], T=1.0))

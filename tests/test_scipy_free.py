@@ -1,8 +1,9 @@
 """The library runs without SciPy, and its replacements match SciPy bit for bit.
 
 SciPy is a test dependency only: here it is the oracle for the lattice's
-tridiagonal solve (``scipy.linalg.solve_banded``, LAPACK dgtsv) and for the
-normal CDF of the truncation tail bound (``scipy.special.ndtr``).
+tridiagonal solve (``scipy.linalg.solve_banded``, LAPACK dgtsv), for the
+normal CDF of the truncation tail bound (``scipy.special.ndtr``) and for the
+bound itself where its reflected term overflows (``scipy.special.log_ndtr``).
 """
 
 import json
@@ -10,16 +11,17 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
-from scipy.special import ndtr
+from scipy.special import log_ndtr, ndtr
 
 import ultmax
 from ultmax import stepping
-from ultmax.grids import Grid, _ndtr
+from ultmax.grids import Grid, _ndtr, default_z_max, truncation_tail_bound
 from ultmax.model import RegimeModel, validate
 from ultmax.stepping import BackwardStepper, Tridiagonal
 
@@ -45,7 +47,7 @@ def test_random_systems_match_solve_banded():
             ab[1] += 3.0 * np.sign(ab[1])
         rhs = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
         expected = solve_banded((1, 1), ab, rhs)
-        assert same_bits(Tridiagonal(ab).solve(rhs.tolist()), expected), (trial, n)
+        assert same_bits(Tridiagonal(ab[2, :-1], ab[1], ab[0, 1:]).solve(rhs.tolist()), expected), (trial, n)
 
 
 @pytest.mark.parametrize(
@@ -62,7 +64,7 @@ def test_row_interchanges_match_solve_banded(upper, diag, lower):
     # elimination; each matrix here is built to take that branch.
     ab = banded(upper, diag, lower)
     for rhs in ([1.0, -2.0, 3.0, 0.25][: len(diag)], [0.0, -0.0, 1e-300, -7.0][: len(diag)]):
-        assert same_bits(Tridiagonal(ab).solve(list(rhs)), solve_banded((1, 1), ab, rhs))
+        assert same_bits(Tridiagonal(lower, diag, upper).solve(list(rhs)), solve_banded((1, 1), ab, rhs))
 
 
 @pytest.mark.parametrize(
@@ -75,7 +77,7 @@ def test_zero_pivot_raises_like_solve_banded(upper, diag, lower):
     with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
         solve_banded((1, 1), ab, np.ones(len(diag)))
     with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
-        Tridiagonal(ab)
+        Tridiagonal(lower, diag, upper)
 
 
 @pytest.mark.parametrize(
@@ -86,7 +88,7 @@ def test_zero_pivot_raises_like_solve_banded(upper, diag, lower):
 )
 def test_non_finite_matrix_raises(upper, diag, lower):
     with pytest.raises(np.linalg.LinAlgError, match="not finite"):
-        Tridiagonal(banded(upper, diag, lower))
+        Tridiagonal(lower, diag, upper)
 
 
 def random_model(rng, m):
@@ -104,9 +106,9 @@ def test_stepper_matches_solve_banded_on_random_models(monkeypatch):
     matrices = []
 
     class Recording(Tridiagonal):
-        def __init__(self, ab):
-            matrices.append(ab.copy())
-            super().__init__(ab)
+        def __init__(self, lo, d, up):
+            matrices.append(banded(up, d, lo))
+            super().__init__(lo, d, up)
 
     monkeypatch.setattr(stepping, "Tridiagonal", Recording)
     rng = np.random.default_rng(8)
@@ -192,3 +194,21 @@ def test_cli_imports_no_scipy(tmp_path):
     assert rc == 0
     assert scipy_modules == []
     assert (tmp_path / "out" / "value_surface.csv").is_file()
+
+
+@pytest.mark.parametrize(
+    "mu, sigma, z_max",
+    [(1.0, 0.05, 1.0), (0.887, 0.05, 1.0), (0.5, 0.04, None), (0.15, 0.5, 1.2)],
+    ids=["exp_overflows", "ndtr_underflows", "default_z_max", "direct"],
+)
+def test_truncation_tail_bound_matches_log_ndtr(mu, sigma, z_max):
+    # P(sup of drifted Brownian log-path > a) = Phi(-(a - nu T) / s) + exp(A) Phi(-B),
+    # A = 2 nu a / sigma^2, B = (a + nu T) / s; the oracle adds A to log Phi(-B).
+    model = validate(RegimeModel(mu=[mu], sigma=[sigma], Q=[[0.0]], T=1.0))
+    a = default_z_max(model) if z_max is None else z_max
+    nu, s = mu - 0.5 * sigma**2, sigma
+    expected = ndtr(-(a - nu) / s) + math.exp(2.0 * nu * a / sigma**2 + log_ndtr(-(a + nu) / s))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = truncation_tail_bound(model, a)
+    assert got == pytest.approx(expected, rel=1e-10, abs=0.0)

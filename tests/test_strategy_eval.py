@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import lift_to_x
+
 import ultmax.paths
 from ultmax import pinned
 from ultmax.boundary import extract_boundary
@@ -8,8 +10,8 @@ from ultmax.gain import g_pde
 from ultmax.grids import Grid
 from ultmax.markov import derive_rng
 from ultmax.model import RegimeModel, validate
-from ultmax.paths import lift_to_x, simulate_paths
-from ultmax.strategy import Policy, compare_policies, evaluate_policy
+from ultmax.paths import simulate_paths
+from ultmax.strategy import Policy, compare_policies
 from ultmax.value import solve_value
 from ultmax.volterra import estimate_J
 
@@ -55,7 +57,7 @@ def test_every_path_regret_at_least_one_and_streaming_matches_reference(fig_solu
     pol = Policy.from_boundary(boundary)
     ref = reference_regrets(FIG, pol, 0, 30_000, 60, seed=404)
     assert np.all(ref >= 1.0)
-    est = evaluate_policy(FIG, pol, 0, 30_000, 60, seed=404)
+    est = compare_policies(FIG, [pol], 0, 30_000, 60, seed=404)[0][0]
     assert est.mean == pytest.approx(ref.mean(), abs=1e-12)
     assert est.n_paths == 30_000
 
@@ -63,13 +65,13 @@ def test_every_path_regret_at_least_one_and_streaming_matches_reference(fig_solu
 def test_immediate_regret_is_the_gain(fig_solution):
     grid, S, _ = fig_solution
     for j0 in (0, 1):
-        est = evaluate_policy(FIG, Policy.immediate(), j0, 150_000, 50, seed=31 + j0)
+        est = compare_policies(FIG, [Policy.immediate()], j0, 150_000, 50, seed=31 + j0)[0][0]
         assert abs(est.mean - S.G.values[0, 0, j0]) <= 3.0 * est.std_error + pinned.TOL_POLICY
 
 
 def test_at_maturity_regret_is_the_terminal_ratio_expectation():
     for j0 in (0, 1):
-        est = evaluate_policy(FIG, Policy.at_maturity(), j0, 150_000, 50, seed=77 + j0)
+        est = compare_policies(FIG, [Policy.at_maturity()], j0, 150_000, 50, seed=77 + j0)[0][0]
         j, j_se = estimate_J(FIG, 0.0, 1.0, j0, 150_000, seed=99 + j0)
         assert abs(est.mean - j) <= 3.0 * np.hypot(est.std_error, j_se)
 
@@ -119,7 +121,7 @@ def test_value_matches_boundary_policy_regret(fig_solution):
     grid, S, _ = fig_solution
     exact = extract_boundary(S, tol_abs=0.0)
     for j0 in (0, 1):
-        est = evaluate_policy(FIG, Policy.from_boundary(exact), j0, 200_000, 500, seed=808 + j0)
+        est = compare_policies(FIG, [Policy.from_boundary(exact)], j0, 200_000, 500, seed=808 + j0)[0][0]
         gap = abs(est.mean - S.V.values[0, 0, j0])
         assert gap <= 3.0 * est.std_error + pinned.TOL_POLICY
 
@@ -127,8 +129,8 @@ def test_value_matches_boundary_policy_regret(fig_solution):
 def test_doubling_steps_moves_regret_within_budget(fig_solution):
     _, _, boundary = fig_solution
     pol = Policy.from_boundary(boundary)
-    a = evaluate_policy(FIG, pol, 0, 200_000, 250, seed=42)
-    b = evaluate_policy(FIG, pol, 0, 200_000, 500, seed=43)
+    a = compare_policies(FIG, [pol], 0, 200_000, 250, seed=42)[0][0]
+    b = compare_policies(FIG, [pol], 0, 200_000, 500, seed=43)[0][0]
     assert abs(a.mean - b.mean) <= 3.0 * np.hypot(a.std_error, b.std_error) + pinned.TOL_POLICY
 
 
@@ -206,4 +208,11 @@ def test_threshold_validation():
     with pytest.raises(ValueError):
         Policy.fixed_threshold([0.9, 1.1])
     with pytest.raises(ValueError):
-        evaluate_policy(FIG, Policy.fixed_threshold([1.1]), 0, 10, 5, seed=1)
+        compare_policies(FIG, [Policy.fixed_threshold([1.1])], 0, 10, 5, seed=1)
+
+
+def test_compare_policies_takes_one_policy_or_more():
+    with pytest.raises(ValueError, match="at least one policy"):
+        compare_policies(FIG, [], 0, 10, 5, seed=1)
+    (est,), pairs = compare_policies(FIG, [Policy.immediate()], 0, 10, 5, seed=1)
+    assert est.policy.kind == "immediate" and pairs == []

@@ -10,7 +10,6 @@ from ultmax.value import (
     check_F_monotone_t,
     check_normal_reflection,
     check_smooth_fit,
-    complementarity_gap,
     containment_violations,
     discrete_generator_image,
     solve_value,
@@ -152,6 +151,14 @@ def test_gap_monotonicity_refuses_mixed_signs():
     _, S = solve(m)
     with pytest.raises(NotApplicable):
         check_F_monotone_t(S)
+
+
+def complementarity_gap(surfaces):
+    """Per-node min(|F|, |LV|): zero when either the obstacle binds or the
+    linear equation holds, which is the discrete complementarity statement."""
+    lv = discrete_generator_image(surfaces)
+    f = surfaces.F.values[:-1]
+    return np.minimum(np.abs(f), np.abs(lv))
 
 
 def test_complementarity(fig):

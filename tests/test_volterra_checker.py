@@ -7,7 +7,7 @@ from ultmax.gain import dG_dx, g_pde, lg
 from ultmax.grids import Grid
 from ultmax.model import validate
 from ultmax.value import solve_value
-from ultmax.volterra import LVInterpolator, estimate_J, estimate_K, volterra_residual
+from ultmax.volterra import estimate_J, estimate_K, volterra_residual
 
 FIG = validate(pinned.make_model(pinned.FIGURE_MODEL))
 SINGLE = validate(pinned.make_model(pinned.SINGLE_MODEL))
@@ -64,7 +64,6 @@ def test_kernel_uses_gain_image_when_surfaces_coincide():
     # stencil image equals the algebraic image up to scheme noise.
     grid, S, boundary = solve(IMMEDIATE)
     image = lg(S.G, dG_dx(S.G, grid), IMMEDIATE, grid)
-    lv = LVInterpolator(S)
     ks, xs = [0, 50, 150], [1.2, 1.8, 3.0]
     for k in ks:
         for x in xs:
@@ -72,7 +71,6 @@ def test_kernel_uses_gain_image_when_surfaces_coincide():
                 stencil, _ = estimate_K(IMMEDIATE, S, boundary, grid.t[k], grid.t[k], x, j, 0, seed=4)
                 algebraic = np.interp(np.log(x), grid.z, image.values[k, :, j])
                 assert stencil == pytest.approx(algebraic, abs=5e-3)
-    assert lv.n_extrapolated == 0
 
 
 def test_golden_kernel_reproduces(fig):
