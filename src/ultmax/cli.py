@@ -168,16 +168,11 @@ def build_grid(cfg: dict, model: RegimeModel, n_t_override: int | None = None) -
         raise ConfigError(f"grid.z_max: {exc}") from exc
 
 
-def run_seed(cfg: dict, seed_override: int | None, default=_REQUIRED) -> int:
-    """``--seed`` if given, else ``mc.seed`` (runs are never seeded from the clock)."""
-    return seed_override if seed_override is not None else _need(cfg, "mc.seed", int, default, minimum=0)
-
-
-def mc_settings(cfg: dict, seed_override: int | None) -> dict:
+def mc_settings(cfg: dict, seed: int) -> dict:
     return dict(
         n_paths=_need(cfg, "mc.n_paths", int, minimum=1),
         n_steps=_need(cfg, "mc.n_steps", int, 250, minimum=1),
-        seed=run_seed(cfg, seed_override),
+        seed=seed,
         bridge_max=_need(cfg, "mc.bridge_max", bool, True),
     )
 
@@ -189,22 +184,35 @@ def tolerance_settings(cfg: dict) -> dict:
     )
 
 
-def _start_regime(cfg: dict, m: int) -> int:
-    j = _need(cfg, "eval.start_regime", int, 1, minimum=1)
-    if j > m:
-        raise ConfigError(f"eval.start_regime: regime label {j} outside 1..{m}")
-    return j - 1
-
-
 # ---------------------------------------------------------------------------
 # Shared pipeline pieces
 # ---------------------------------------------------------------------------
 
 
-def _solve_all(model, grid):
-    surface_g = g_pde(model, grid)
-    surfaces = solve_value(model, grid, surface_g)
-    return surface_g, surfaces
+# Subcommands that simulate paths, and so need a seed; the others record 0.
+_SEEDED = ("gcheck", "volterra", "eval")
+
+
+class RunInputs:
+    """What every subcommand reads first, in this order: model, grid, tolerances, seed.
+
+    ``figure`` pins the model and the time steps.  The seed is ``--seed`` if
+    given, else ``mc.seed``; runs are never seeded from the clock.
+    """
+
+    def __init__(self, cfg: dict, subcommand: str, seed_override: int | None):
+        figure = subcommand == "figure"
+        self.model = validate(pinned.make_model(pinned.FIGURE_MODEL)) if figure else build_model(cfg)
+        self.grid = build_grid(cfg, self.model, pinned.FIGURE_N_T if figure else None)
+        self.tols = tolerance_settings(cfg)
+        default = _REQUIRED if subcommand in _SEEDED else 0
+        self.seed = seed_override if seed_override is not None else _need(cfg, "mc.seed", int, default, minimum=0)
+
+    def surfaces(self):
+        return solve_value(self.model, self.grid, g_pde(self.model, self.grid))
+
+    def boundary(self, surfaces):
+        return extract_boundary(surfaces, self.tols["tol_abs"])
 
 
 def _surface_blocks(grid, *surfaces):
@@ -218,6 +226,11 @@ def _surface_blocks(grid, *surfaces):
         yield [np.full(x.size, grid.t[k]), x, j, *(s.values[k].ravel() for s in surfaces)]
 
 
+def _write_value_surface(out_dir: Path, surfaces) -> None:
+    vgf = _surface_blocks(surfaces.grid, surfaces.V, surfaces.G, surfaces.F)
+    _write_csv(out_dir / "value_surface.csv", ["t", "x", "j", "V", "G", "F"], vgf)
+
+
 def _write_boundary(out_dir: Path, boundary, plot_script: bool) -> None:
     grid = boundary.grid
     t, j = np.repeat(grid.t, grid.m), np.tile(np.arange(1, grid.m + 1), grid.n_t + 1)
@@ -228,22 +241,23 @@ def _write_boundary(out_dir: Path, boundary, plot_script: bool) -> None:
         _plot_script(out_dir, "boundary.csv", 1, (3, 4), 2, grid.m, "stopping boundary by regime")
 
 
-def _base_manifest(cfg, model, grid, tols, subcommand, seed) -> dict:
+def _base_manifest(cfg, subcommand, inputs: RunInputs) -> dict:
     from . import __version__
 
+    model, grid = inputs.model, inputs.grid
     return {
         "subcommand": subcommand,
         "library_version": __version__,
         "config_sha256": cfg["_sha256"],
-        "seed": seed,
+        "seed": inputs.seed,
         "exercise_regime": classify(model).value,
         "n_x": grid.n_x,
         "n_t": grid.n_t,
         "z_max": grid.z_max,
         "dz": grid.dz,
         "dt": grid.dt,
-        "tol_abs": tols["tol_abs"],
-        "eps_sign": tols["eps_sign"],
+        "tol_abs": inputs.tols["tol_abs"],
+        "eps_sign": inputs.tols["eps_sign"],
         "tol_scheme_pinned": pinned.TOL_SCHEME,
         "truncation_tail_bound": truncation_tail_bound(model, grid.z_max),
     }
@@ -277,15 +291,14 @@ def _dump_paths(out_dir: Path, model, mc) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands.  Each writes its own files and returns the keys it adds to the
+# run manifest and the message of a failed property check (None if none).
 # ---------------------------------------------------------------------------
 
 
-def cmd_gcheck(args, cfg, out_dir):
-    model = build_model(cfg)
-    grid = build_grid(cfg, model)
-    mc = mc_settings(cfg, args.seed)
-    tols = tolerance_settings(cfg)
+def cmd_gcheck(args, cfg, out_dir, inputs):
+    model, grid = inputs.model, inputs.grid
+    mc = mc_settings(cfg, inputs.seed)
     surface_g = g_pde(model, grid)
     surface_d = dG_dx(surface_g, grid)
 
@@ -307,53 +320,38 @@ def cmd_gcheck(args, cfg, out_dir):
         ["t", "x", "j", "pde", "mc", "mc_se", "diff", "tol", "pass"],
         [[t, x, j + 1, pde, mc_val, se, pde - mc_val, tol, ok]],
     )
-    manifest = _base_manifest(cfg, model, grid, tols, "gcheck", mc["seed"])
-    manifest["dgdx_clamp_fraction"] = surface_d.info["clamp_fraction"]
-    manifest["gcheck_pass"] = int(ok.all())
-    _write_kv(out_dir / "run_manifest.txt", manifest)
     if args.paths_dump:
         _dump_paths(out_dir, model, mc)
-    if not ok.all():
-        raise PropertyCheckFailure("lattice and Monte Carlo gain estimates disagree beyond tolerance")
-    return EXIT_OK
+    keys = {"dgdx_clamp_fraction": surface_d.info["clamp_fraction"], "gcheck_pass": int(ok.all())}
+    return keys, None if ok.all() else "lattice and Monte Carlo gain estimates disagree beyond tolerance"
 
 
-def cmd_solve(args, cfg, out_dir):
-    model = build_model(cfg)
-    grid = build_grid(cfg, model)
-    tols = tolerance_settings(cfg)
-    seed = run_seed(cfg, args.seed, 0)
-    surface_g, surfaces = _solve_all(model, grid)
-    surface_d = dG_dx(surface_g, grid)
-    surface_lg = lg(surface_g, surface_d, model, grid)
+def cmd_solve(args, cfg, out_dir, inputs):
+    model, grid = inputs.model, inputs.grid
+    surfaces = inputs.surfaces()
+    surface_d = dG_dx(surfaces.G, grid)
+    surface_lg = lg(surfaces.G, surface_d, model, grid)
 
-    vgf = _surface_blocks(grid, surfaces.V, surfaces.G, surfaces.F)
-    _write_csv(out_dir / "value_surface.csv", ["t", "x", "j", "V", "G", "F"], vgf)
+    _write_value_surface(out_dir, surfaces)
     _write_csv(out_dir / "lg_surface.csv", ["t", "x", "j", "value"], _surface_blocks(grid, surface_lg))
-    h = [h_level(surface_lg, grid, j, tols["eps_sign"]) for j in range(grid.m)]
+    h = [h_level(surface_lg, grid, j, inputs.tols["eps_sign"]) for j in range(grid.m)]
     h_blocks = [[grid.t, np.full(grid.t.size, j + 1), h[j]] for j in range(grid.m)]
     _write_csv(out_dir / "h_level.csv", ["t", "j", "h"], h_blocks)
     if args.plot_script:
         _plot_script(out_dir, "h_level.csv", 1, (3,), 2, grid.m, "sign-change level by regime")
-    _write_kv(out_dir / "run_manifest.txt", _base_manifest(cfg, model, grid, tols, "solve", seed))
-    return EXIT_OK
+    return {}, None
 
 
-def cmd_boundary(args, cfg, out_dir):
-    model = build_model(cfg)
-    grid = build_grid(cfg, model)
-    tols = tolerance_settings(cfg)
-    seed = run_seed(cfg, args.seed, 0)
-    _, surfaces = _solve_all(model, grid)
-    boundary = extract_boundary(surfaces, tols["tol_abs"])
+def cmd_boundary(args, cfg, out_dir, inputs):
+    grid = inputs.grid
+    boundary = inputs.boundary(inputs.surfaces())
     _write_boundary(out_dir, boundary, args.plot_script)
 
-    manifest = _base_manifest(cfg, model, grid, tols, "boundary", seed)
-    report_lines = {}
+    report = {}
     failed = False
     try:
-        rep = check_boundary_monotone(boundary, model)
-        report_lines.update(
+        rep = check_boundary_monotone(boundary, inputs.model)
+        report.update(
             monotone_applicable=1,
             monotone_violations=rep.n_violations,
             max_jump_cells=rep.max_jump_cells,
@@ -362,26 +360,18 @@ def cmd_boundary(args, cfg, out_dir):
         )
         failed = rep.n_violations > 0 or rep.max_jump_per_sqrt_dt > pinned.C_BOUNDARY_CONTINUITY
     except NotApplicable:
-        report_lines["monotone_applicable"] = 0
-    manifest.update(report_lines)
-    _write_kv(out_dir / "run_manifest.txt", manifest)
-    _write_kv(out_dir / "boundary_report.txt", report_lines)
-    if failed:
-        raise PropertyCheckFailure("boundary monotonicity/continuity check failed")
-    return EXIT_OK
+        report["monotone_applicable"] = 0
+    _write_kv(out_dir / "boundary_report.txt", report)
+    return report, "boundary monotonicity/continuity check failed" if failed else None
 
 
-def cmd_volterra(args, cfg, out_dir):
-    model = build_model(cfg)
-    grid = build_grid(cfg, model)
-    mc = mc_settings(cfg, args.seed)
-    tols = tolerance_settings(cfg)
+def cmd_volterra(args, cfg, out_dir, inputs):
+    mc = mc_settings(cfg, inputs.seed)
     n_quad = _need(cfg, "volterra.n_quad", int, 64, minimum=1)
     report_every = _need(cfg, "volterra.report_every", int, 10, minimum=1)
-    _, surfaces = _solve_all(model, grid)
-    boundary = extract_boundary(surfaces, tols["tol_abs"])
+    surfaces = inputs.surfaces()
     rep = volterra_residual(
-        model, surfaces, boundary, mc["n_paths"], n_quad, mc["seed"],
+        inputs.model, surfaces, inputs.boundary(surfaces), mc["n_paths"], n_quad, mc["seed"],
         report_every=report_every, bridge_max=mc["bridge_max"],
     )
     _write_csv(
@@ -390,19 +380,15 @@ def cmd_volterra(args, cfg, out_dir):
         [[rep.t, rep.regime + 1, rep.lhs, rep.J, rep.J_se, rep.K_integral, rep.K_se, rep.residual,
           rep.relative_residual]],
     )
-    manifest = _base_manifest(cfg, model, grid, tols, "volterra", mc["seed"])
-    manifest["n_quad"] = n_quad
-    manifest["median_abs_relative_residual"] = rep.median_abs_relative()
-    manifest["n_extrapolated_samples"] = rep.n_extrapolated
-    _write_kv(out_dir / "run_manifest.txt", manifest)
-    return EXIT_OK
+    keys = dict(n_quad=n_quad, median_abs_relative_residual=rep.median_abs_relative(),
+                n_extrapolated_samples=rep.n_extrapolated)
+    return keys, None
 
 
-def _build_policies(cfg, model, surfaces, tols):
+def _build_policies(cfg, inputs, surfaces):
     names = _need(cfg, "eval.policies", list, ["boundary", "immediate", "at_maturity"])
     policies = []
-    need_boundary = any(p == "boundary" for p in names)
-    boundary = extract_boundary(surfaces, tols["tol_abs"]) if need_boundary else None
+    boundary = inputs.boundary(surfaces) if "boundary" in names else None
     for p in names:
         if p == "boundary":
             policies.append(Policy.from_boundary(boundary))
@@ -415,7 +401,7 @@ def _build_policies(cfg, model, surfaces, tols):
                 policies.append(Policy.fixed_threshold(p["threshold"]))
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"eval.policies: {p!r}: {exc}") from exc
-            if policies[-1].levels.shape[0] != model.m:
+            if policies[-1].levels.shape[0] != inputs.model.m:
                 raise ConfigError(f"eval.policies: {p!r}: need one threshold level per regime")
         else:
             raise ConfigError(f"eval.policies: unknown policy {p!r}")
@@ -424,53 +410,39 @@ def _build_policies(cfg, model, surfaces, tols):
     return policies
 
 
-def cmd_eval(args, cfg, out_dir):
-    model = build_model(cfg)
-    grid = build_grid(cfg, model)
-    mc = mc_settings(cfg, args.seed)
-    tols = tolerance_settings(cfg)
-    j0 = _start_regime(cfg, model.m)
-    _, surfaces = _solve_all(model, grid)
-    policies = _build_policies(cfg, model, surfaces, tols)
-    estimates, pairs = compare_policies(model, policies, j0, **mc)
+def cmd_eval(args, cfg, out_dir, inputs):
+    mc = mc_settings(cfg, inputs.seed)
+    j0 = _need(cfg, "eval.start_regime", int, 1, minimum=1) - 1
+    if j0 >= inputs.model.m:
+        raise ConfigError(f"eval.start_regime: regime label {j0 + 1} outside 1..{inputs.model.m}")
+    policies = _build_policies(cfg, inputs, inputs.surfaces())
+    estimates, pairs = compare_policies(inputs.model, policies, j0, **mc)
     rows = [(e.policy.name(), j0 + 1, e.mean, e.std_error, e.n_paths) for e in estimates]
     _write_csv(out_dir / "eval.csv", ["policy", "j0", "mean", "std_error", "n_paths"], [zip(*rows)])
     rows = [(p.policy_a, p.policy_b, p.diff, p.diff_se) for p in pairs]
     _write_csv(out_dir / "eval_pairs.csv", ["policy_a", "policy_b", "diff", "diff_se"], [zip(*rows)])
-    _write_kv(out_dir / "run_manifest.txt", _base_manifest(cfg, model, grid, tols, "eval", mc["seed"]))
-    return EXIT_OK
+    return {}, None
 
 
-def cmd_figure(args, cfg, out_dir):
+def cmd_figure(args, cfg, out_dir, inputs):
     """End-to-end reproduction of the two-state positive-drift pipeline.
 
     The model, horizon and 100-step time grid are pinned constants; the config
-    contributes only the seed, tolerances and output location.
+    contributes only the seed, tolerances, spatial grid and output location.
     """
-    model = validate(pinned.make_model(pinned.FIGURE_MODEL))
-    grid = build_grid(cfg, model, n_t_override=pinned.FIGURE_N_T)
-    tols = tolerance_settings(cfg)
-    seed = run_seed(cfg, args.seed, 0)
-    _, surfaces = _solve_all(model, grid)
-    boundary = extract_boundary(surfaces, tols["tol_abs"])
-
-    vgf = _surface_blocks(grid, surfaces.V, surfaces.G, surfaces.F)
-    _write_csv(out_dir / "value_surface.csv", ["t", "x", "j", "V", "G", "F"], vgf)
+    grid = inputs.grid
+    surfaces = inputs.surfaces()
+    boundary = inputs.boundary(surfaces)
+    _write_value_surface(out_dir, surfaces)
     _write_boundary(out_dir, boundary, args.plot_script)
 
-    manifest = _base_manifest(cfg, model, grid, tols, "figure", seed)
     anchor_ok = bool(np.all(np.abs(np.log(boundary.b_smoothed[-1])) <= grid.dz))
-    rep = check_boundary_monotone(boundary, model)
+    rep = check_boundary_monotone(boundary, inputs.model)
     ordering = bool(np.all(np.log(boundary.b_smoothed[:, 1]) <= np.log(boundary.b_smoothed[:, 0]) + grid.dz))
-    manifest.update(
-        terminal_anchor_ok=int(anchor_ok),
-        monotone_violations=rep.n_violations,
-        regime2_below_regime1=int(ordering),
-    )
-    _write_kv(out_dir / "run_manifest.txt", manifest)
-    if not anchor_ok or rep.n_violations > 0:
-        raise PropertyCheckFailure("figure pipeline boundary failed its anchor/monotonicity checks")
-    return EXIT_OK
+    keys = dict(terminal_anchor_ok=int(anchor_ok), monotone_violations=rep.n_violations,
+                regime2_below_regime1=int(ordering))
+    failed = not anchor_ok or rep.n_violations > 0
+    return keys, "figure pipeline boundary failed its anchor/monotonicity checks" if failed else None
 
 
 COMMANDS = {
@@ -484,6 +456,7 @@ COMMANDS = {
 
 
 def run(subcommand: str, args) -> int:
+    """Read the inputs, run the subcommand, write ``run_manifest.txt`` (on exit 4 too)."""
     try:
         cfg = load_config(args.config)
         key = "--out" if args.out is not None else "outputs"
@@ -492,7 +465,12 @@ def run(subcommand: str, args) -> int:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"{key}: cannot create output directory {out_dir}: {exc}") from exc
-        return COMMANDS[subcommand](args, cfg, out_dir)
+        inputs = RunInputs(cfg, subcommand, args.seed)
+        keys, failure = COMMANDS[subcommand](args, cfg, out_dir, inputs)
+        _write_kv(out_dir / "run_manifest.txt", {**_base_manifest(cfg, subcommand, inputs), **keys})
+        if failure is not None:
+            raise PropertyCheckFailure(failure)
+        return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -86,19 +86,30 @@ def truncation_tail_bound(model: ValidatedModel, z_max: float) -> float:
     truncation artifact rather than maturity-only exercise.  The reflected
     term exp(A) * Phi(-B) is formed as one exponential where exp(A) would
     overflow or Phi(-B) underflow to 0; A - B^2 / 2 <= 0, so that one cannot.
+    A nan bound raises ValueError rather than being dropped from the maximum.
     """
     worst = 0.0
     for j in range(model.m):
         nu = model.mu[j] - 0.5 * model.sigma[j] ** 2
         s = model.sigma[j] * np.sqrt(model.T)
         a = z_max
-        big_a, big_b = 2.0 * nu * a / model.sigma[j] ** 2, (a + nu * model.T) / s
+        with np.errstate(all="ignore"):  # a tiny sigma makes A inf (or nan) and B, w inf
+            big_a, big_b = 2.0 * nu * a / model.sigma[j] ** 2, (a + nu * model.T) / s
+            w = float((a - nu * model.T) / s)
         z = float(big_b) * math.sqrt(0.5)  # Phi(-B) = erfc(z) / 2
         if big_a >= _MAXLOG or (z > 0.0 and z * z > _MAXLOG):
-            reflected = _half_erfc(z, float(big_a))
+            # Here z > 26, so the term is below exp(A - z^2) / (2 z sqrt(pi)), and
+            # A - z^2 = -w^2 / 2, formed without inf - inf.  It is 0 once that
+            # exponential is, and where z is so large that A or erfc's ratio
+            # overflows to nan (the true term is then below 1e-61).
+            reflected = _half_erfc(z, float(big_a)) if math.exp(-0.5 * w * w) > 0.0 else 0.0
+            reflected = 0.0 if math.isnan(reflected) else reflected
         else:
             reflected = np.exp(big_a) * _ndtr(-big_b)
-        worst = max(worst, float(_ndtr(-(a - nu * model.T) / s) + reflected))
+        bound = float(_ndtr(-w) + reflected)
+        if math.isnan(bound):
+            raise ValueError(f"regime {j + 1}: truncation tail bound is nan")
+        worst = max(worst, bound)
     return worst
 
 

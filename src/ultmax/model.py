@@ -29,6 +29,9 @@ __all__ = [
 # strict, machine noise is far below this.
 ROW_SUM_TOL = 1e-12
 
+# The largest volatility whose square is a finite double.
+SIGMA_MAX = float(np.sqrt(np.finfo(float).max))
+
 
 class ModelError(ValueError):
     """Base class for model validation failures."""
@@ -107,7 +110,8 @@ def validate(model: RegimeModel) -> ValidatedModel:
     Raises
     ------
     NonPositiveVolatility, BadGeneratorRow, NonPositiveHorizon
-        on the corresponding violations; plain ValueError on shape mismatch.
+        on the corresponding violations; plain ValueError on shape mismatch,
+        a non-finite entry or a sigma whose square overflows.
     """
     m = model.m
     if m < 1:
@@ -119,6 +123,9 @@ def validate(model: RegimeModel) -> ValidatedModel:
     for arr, name in ((model.mu, "mu"), (model.sigma, "sigma"), (model.Q, "Q")):
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"{name} contains non-finite entries")
+    if np.any(model.sigma > SIGMA_MAX):
+        bad = int(np.argmax(model.sigma > SIGMA_MAX))
+        raise ValueError(f"sigma[{bad}] = {model.sigma[bad]} is too large: its square overflows")
     if not np.isfinite(model.T) or model.T <= 0.0:
         raise NonPositiveHorizon(f"horizon must be positive, got {model.T}")
     if np.any(model.sigma <= 0.0):

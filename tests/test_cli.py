@@ -175,27 +175,26 @@ def test_too_coarse_time_grid_exits_3(config, tmp_path):
 
 
 def test_overflowing_lattice_coefficients_exit_3(config, tmp_path):
-    # sigma^2 overflows to inf; without grid.z_max, so does the default
-    # z_max's dz^2.  In a subprocess, because computing them warns and this
-    # suite turns RuntimeWarning into an error.
+    # sigma^2 is finite (a larger sigma is a config error), but over a tiny
+    # dz^2 the lattice coefficients overflow.  In a subprocess, because
+    # computing them warns and this suite turns RuntimeWarning into an error.
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-    for name, grid_z_max in [("z_max_2", "\n  z_max: 2.0"), ("default_z_max", "")]:
-        big = config.parent / f"{name}.yaml"
-        big.write_text(config.read_text().replace("sigma: [0.5, 0.3]", "sigma: [1e300, 0.3]")
-                       .replace("n_t: 60", "n_t: 60" + grid_z_max))
-        out = tmp_path / name
-        proc = subprocess.run([sys.executable, "-m", "ultmax.cli", "solve", "--config", str(big), "--out", str(out)],
-                              capture_output=True, text=True, env=env)
-        assert proc.returncode == 3, (name, proc.stderr[-500:])
-        assert "Traceback" not in proc.stderr, name
-        assert "solver error: regime 1: lattice matrix" in proc.stderr, name
-        assert not list(out.glob("*.csv")), name
+    big = config.parent / "big.yaml"
+    big.write_text(config.read_text().replace("sigma: [0.5, 0.3]", "sigma: [1e150, 0.3]")
+                   .replace("n_t: 60", "n_t: 60\n  z_max: 1.0e-100"))
+    out = tmp_path / "big"
+    proc = subprocess.run([sys.executable, "-m", "ultmax.cli", "solve", "--config", str(big), "--out", str(out)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 3, proc.stderr[-500:]
+    assert "Traceback" not in proc.stderr
+    assert "solver error: regime 1: lattice matrix" in proc.stderr
+    assert not list(out.glob("*.csv"))
 
 
 def test_property_failures_exit_4(config, tmp_path, monkeypatch):
     # No organic trigger exists at sane settings (the projection yields
     # exactly clean upper sets), so exercise the exit-code contract directly.
-    def boom(args, cfg, out_dir):
+    def boom(args, cfg, out_dir, inputs):
         raise cli.PropertyCheckFailure("synthetic")
 
     monkeypatch.setitem(cli.COMMANDS, "boundary", boom)
@@ -203,11 +202,29 @@ def test_property_failures_exit_4(config, tmp_path, monkeypatch):
 
     from ultmax.boundary import NonMonotoneSlice
 
-    def boom2(args, cfg, out_dir):
+    def boom2(args, cfg, out_dir, inputs):
         raise NonMonotoneSlice("synthetic")
 
     monkeypatch.setitem(cli.COMMANDS, "solve", boom2)
     assert run_cli("solve", config, tmp_path / "p4b") == 4
+
+
+def test_manifest_is_written_on_a_property_failure(config, tmp_path, monkeypatch, capsys):
+    # A subcommand returns its manifest keys and the failed check's message;
+    # run writes the manifest (base keys, then the subcommand's) and exits 4.
+    def failing(args, cfg, out_dir, inputs):
+        return {"synthetic_key": 1}, "synthetic"
+
+    monkeypatch.setitem(cli.COMMANDS, "boundary", failing)
+    out = tmp_path / "p4m"
+    assert run_cli("boundary", config, out) == 4
+    assert capsys.readouterr().err == "property-check failure: synthetic\n"
+    manifest = read_kv(out / "run_manifest.txt")
+    assert list(manifest) == [
+        "subcommand", "library_version", "config_sha256", "seed", "exercise_regime", "n_x", "n_t", "z_max", "dz", "dt",
+        "tol_abs", "eps_sign", "tol_scheme_pinned", "truncation_tail_bound", "synthetic_key",
+    ]
+    assert manifest["subcommand"] == "boundary" and manifest["seed"] == "4242" and manifest["synthetic_key"] == "1"
 
 
 def test_csv_number_format_is_12_significant_digits(config, tmp_path):
@@ -235,10 +252,11 @@ def test_csv_number_format_is_12_significant_digits(config, tmp_path):
         ("eval", "  seed: 4242", "  seed: -1", "mc.seed"),
         ("boundary", "volterra:\n", "tolerances: {tol_abs: .nan}\nvolterra:\n", "tolerances.tol_abs"),
         ("solve", "volterra:\n", "tolerances: {eps_sign: .nan}\nvolterra:\n", "tolerances.eps_sign"),
+        ("solve", "sigma: [0.5, 0.3]", "sigma: [1e300, 0.3]", "model: sigma[0]"),
     ],
     ids=[
         "n_x_text", "report_every_0", "n_quad_0", "bridge_max_text", "threshold_count", "no_policies",
-        "z_max_nan", "z_max_inf", "seed_negative", "tol_abs_nan", "eps_sign_nan",
+        "z_max_nan", "z_max_inf", "seed_negative", "tol_abs_nan", "eps_sign_nan", "sigma_square_overflows",
     ],
 )
 def test_bad_config_value_exits_2_naming_the_key(config, tmp_path, capsys, sub, old, new, key):

@@ -197,17 +197,27 @@ def test_cli_imports_no_scipy(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "mu, sigma, z_max",
-    [(1.0, 0.05, 1.0), (0.887, 0.05, 1.0), (0.5, 0.04, None), (0.15, 0.5, 1.2)],
-    ids=["exp_overflows", "ndtr_underflows", "default_z_max", "direct"],
+    "mu, sigma, z_max, known",
+    [
+        (1.0, 0.05, 1.0, None), (0.887, 0.05, 1.0, None), (0.5, 0.04, None, None), (0.15, 0.5, 1.2, None),
+        (0.1, 1e-70, 0.05, None), (0.1, 1e-160, 0.05, 1.0), (0.1, 1e-70, 0.1, 0.5),
+    ],
+    ids=[
+        "exp_overflows", "ndtr_underflows", "default_z_max", "direct", "erfc_ratio_nan", "sigma_squared_underflows",
+        "z_max_at_drift",
+    ],
 )
-def test_truncation_tail_bound_matches_log_ndtr(mu, sigma, z_max):
+def test_truncation_tail_bound_matches_log_ndtr(mu, sigma, z_max, known):
     # P(sup of drifted Brownian log-path > a) = Phi(-(a - nu T) / s) + exp(A) Phi(-B),
     # A = 2 nu a / sigma^2, B = (a + nu T) / s; the oracle adds A to log Phi(-B).
+    # Where the oracle cancels (inf - inf, or two terms near 1e138) the bound
+    # is ``known``: a path that surely drifts past a = 0.05 < nu T gives 1,
+    # and at a = nu T the direct term is 1/2 and the reflected one below 1e-70.
     model = validate(RegimeModel(mu=[mu], sigma=[sigma], Q=[[0.0]], T=1.0))
     a = default_z_max(model) if z_max is None else z_max
     nu, s = mu - 0.5 * sigma**2, sigma
-    expected = ndtr(-(a - nu) / s) + math.exp(2.0 * nu * a / sigma**2 + log_ndtr(-(a + nu) / s))
+    expected = known if known is not None else (
+        ndtr(-(a - nu) / s) + math.exp(2.0 * nu * a / sigma**2 + log_ndtr(-(a + nu) / s)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = truncation_tail_bound(model, a)
