@@ -43,9 +43,6 @@ class Boundary:
     tol_abs: float
     grid: Grid
 
-    def is_sentinel(self) -> np.ndarray:
-        return ~np.isfinite(self.b_raw)
-
     def levels_at(self, times) -> np.ndarray:
         """Smoothed levels at the latest grid time <= each of ``times``.
 

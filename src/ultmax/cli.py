@@ -22,6 +22,7 @@ import argparse
 import hashlib
 import os
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -75,14 +76,38 @@ def _column(col):
     return "%s", [_fmt(v) for v in col.tolist()]
 
 
-def _write_csv(path: Path, header, blocks) -> None:
-    """Write ``header`` and then each block, an iterable of equal-length columns."""
+def _spelled(col) -> list:
+    """A column's fields as text a row template can hold (``%`` doubled)."""
+    spec, values = _column(col)
+    return [(spec % v).replace("%", "%%") for v in values]
+
+
+def _write_csv(path: Path, header, blocks, keys=()) -> None:
+    """Write ``header`` and then each block's rows, with one ``%`` call per block.
+
+    A block is a list of columns: first any 0-d ones, the same in every row
+    of the block (``t`` of a surface slice), then ones with an entry per row.
+    ``keys`` are columns the same in every block (``x`` and ``j`` of a
+    surface), written after the 0-d fields.  Key fields are spelled once per
+    file and 0-d ones once per block, into a row template that only the
+    per-row values are formatted into; each row reads as ``spec % row`` would.
+    """
+    key_fields = [",".join(row) for row in zip(*map(_spelled, keys))]
+    templates = {}  # (value specs, rows) -> "" and then each row after its 0-d fields
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for block in blocks:
-            cols = [_column(col) for col in block]
-            spec = ",".join(s for s, _ in cols) + "\n"
-            fh.writelines(spec % row for row in zip(*(values for _, values in cols)))
+            block = list(block)
+            n_lead = next((i for i, col in enumerate(block) if np.ndim(col)), len(block))
+            lead = "".join(_spelled([col])[0] + "," for col in block[:n_lead])
+            cols = [_column(col) for col in block[n_lead:]]
+            spec = ",".join(s for s, _ in cols)
+            n_rows = len(key_fields) if keys else len(cols[0][1]) if cols else 0
+            if (spec, n_rows) not in templates:
+                rows = [k + "," + spec if spec else k for k in key_fields] if keys else [spec] * n_rows
+                templates[spec, n_rows] = ["", *(row + "\n" for row in rows)]
+            values = chain.from_iterable(zip(*(v for _, v in cols)))
+            fh.write(lead.join(templates[spec, n_rows]) % tuple(values))
 
 
 def _write_kv(path: Path, entries: dict) -> None:
@@ -216,19 +241,20 @@ class RunInputs:
 
 
 def _surface_blocks(grid, *surfaces):
-    """CSV blocks of (t, x, regime, each surface's value), one time slice each.
+    """CSV blocks of (t, x, regime, each surface's value), one time slice each, and their keys.
 
-    A slice at a time keeps the formatted rows of a whole surface out of memory.
+    Returns ``(blocks, keys)`` for ``_write_csv``: each block is a slice's
+    ``t`` and its surface values, and the keys are the (x, regime) columns
+    every slice shares.  A slice at a time keeps the formatted rows of a
+    whole surface out of memory.
     """
-    x = np.repeat(grid.x, grid.m)
-    j = np.tile(np.arange(1, grid.m + 1), grid.n_x)
-    for k in range(grid.n_t + 1):
-        yield [np.full(x.size, grid.t[k]), x, j, *(s.values[k].ravel() for s in surfaces)]
+    keys = [np.repeat(grid.x, grid.m), np.tile(np.arange(1, grid.m + 1), grid.n_x)]
+    return ([grid.t[k], *(s.values[k].ravel() for s in surfaces)] for k in range(grid.n_t + 1)), keys
 
 
 def _write_value_surface(out_dir: Path, surfaces) -> None:
     vgf = _surface_blocks(surfaces.grid, surfaces.V, surfaces.G, surfaces.F)
-    _write_csv(out_dir / "value_surface.csv", ["t", "x", "j", "V", "G", "F"], vgf)
+    _write_csv(out_dir / "value_surface.csv", ["t", "x", "j", "V", "G", "F"], *vgf)
 
 
 def _write_boundary(out_dir: Path, boundary, plot_script: bool) -> None:
@@ -285,9 +311,9 @@ def _plot_script(out_dir: Path, csv_name: str, x_col: int, y_cols, series_col: i
 def _dump_paths(out_dir: Path, model, mc) -> None:
     n = min(mc["n_paths"], _MAX_DUMPED_PATHS)
     b = simulate_paths(model, 0.0, 0, n, mc["n_steps"], mc["seed"], mc["bridge_max"])
-    step = np.arange(b.n_steps + 1)
-    blocks = ([np.full(step.size, p), step, b.times, b.states[p] + 1, b.y[p], b.ymax[p]] for p in range(n))
-    _write_csv(out_dir / "paths.csv", ["path_id", "step", "t", "state", "y", "ymax"], blocks)
+    blocks = ([p, b.states[p] + 1, b.y[p], b.ymax[p]] for p in range(n))
+    keys = [np.arange(b.n_steps + 1), b.times]
+    _write_csv(out_dir / "paths.csv", ["path_id", "step", "t", "state", "y", "ymax"], blocks, keys)
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +339,8 @@ def cmd_gcheck(args, cfg, out_dir, inputs):
     tol = 3.0 * se + pinned.C_PDE_MC * (grid.dz**2 + grid.dt)
     ok = np.abs(pde - mc_val) <= tol
 
-    _write_csv(out_dir / "gain_surface.csv", ["t", "x", "j", "value"], _surface_blocks(grid, surface_g))
-    _write_csv(out_dir / "dgdx_surface.csv", ["t", "x", "j", "value"], _surface_blocks(grid, surface_d))
+    _write_csv(out_dir / "gain_surface.csv", ["t", "x", "j", "value"], *_surface_blocks(grid, surface_g))
+    _write_csv(out_dir / "dgdx_surface.csv", ["t", "x", "j", "value"], *_surface_blocks(grid, surface_d))
     _write_csv(
         out_dir / "gcheck.csv",
         ["t", "x", "j", "pde", "mc", "mc_se", "diff", "tol", "pass"],
@@ -333,7 +359,7 @@ def cmd_solve(args, cfg, out_dir, inputs):
     surface_lg = lg(surfaces.G, surface_d, model, grid)
 
     _write_value_surface(out_dir, surfaces)
-    _write_csv(out_dir / "lg_surface.csv", ["t", "x", "j", "value"], _surface_blocks(grid, surface_lg))
+    _write_csv(out_dir / "lg_surface.csv", ["t", "x", "j", "value"], *_surface_blocks(grid, surface_lg))
     h = [h_level(surface_lg, grid, j, inputs.tols["eps_sign"]) for j in range(grid.m)]
     h_blocks = [[grid.t, np.full(grid.t.size, j + 1), h[j]] for j in range(grid.m)]
     _write_csv(out_dir / "h_level.csv", ["t", "j", "h"], h_blocks)

@@ -57,10 +57,10 @@ def _polevl(x: float, coef, monic: bool = False) -> float:
     return ans
 
 
-def _half_erfc(z: float, log_scale: float = 0.0) -> float:
-    """exp(log_scale) * erfc(z) / 2 for z >= 1, by cephes' erfc approximations."""
+def _half_erfc(z: float, exponent: float) -> float:
+    """exp(exponent + z^2) * erfc(z) / 2 for z >= 1 (erfc(z) / 2 at -z^2), by cephes' approximations."""
     p, q = (_ERFC_P, _ERFC_Q) if z < 8.0 else (_ERFC_R, _ERFC_S)
-    return 0.5 * (math.exp(log_scale - z * z) * _polevl(z, p) / _polevl(z, q, True))
+    return 0.5 * (math.exp(exponent) * _polevl(z, p) / _polevl(z, q, True))
 
 
 def _ndtr(a: float) -> float:
@@ -74,7 +74,7 @@ def _ndtr(a: float) -> float:
     if z < 1.0:
         s = x * x
         return 0.5 + 0.5 * (x * _polevl(s, _ERF_T) / _polevl(s, _ERF_U, True))
-    y = 0.0 if z * z > _MAXLOG else _half_erfc(z)
+    y = 0.0 if z * z > _MAXLOG else _half_erfc(z, -z * z)
     return 1.0 - y if x > 0 else y
 
 
@@ -99,10 +99,11 @@ def truncation_tail_bound(model: ValidatedModel, z_max: float) -> float:
         z = float(big_b) * math.sqrt(0.5)  # Phi(-B) = erfc(z) / 2
         if big_a >= _MAXLOG or (z > 0.0 and z * z > _MAXLOG):
             # Here z > 26, so the term is below exp(A - z^2) / (2 z sqrt(pi)), and
-            # A - z^2 = -w^2 / 2, formed without inf - inf.  It is 0 once that
-            # exponential is, and where z is so large that A or erfc's ratio
+            # A - z^2 = -w^2 / 2, formed from w: A and z^2 may be inf, or so close
+            # that their difference is rounding noise.  The term is 0 once that
+            # exponential is, and where z is so large that erfc's ratio
             # overflows to nan (the true term is then below 1e-61).
-            reflected = _half_erfc(z, float(big_a)) if math.exp(-0.5 * w * w) > 0.0 else 0.0
+            reflected = _half_erfc(z, -0.5 * w * w)
             reflected = 0.0 if math.isnan(reflected) else reflected
         else:
             reflected = np.exp(big_a) * _ndtr(-big_b)

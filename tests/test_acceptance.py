@@ -17,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import criterion_lines
+from conftest import criterion_lines, is_sentinel
 
 from ultmax import cli, pinned
 from ultmax.boundary import check_boundary_monotone, extract_boundary
@@ -103,7 +103,7 @@ def test_criterion_02_exercise_at_maturity():
     i_lo, i_hi = 5, int(np.searchsorted(grid.z, grid.z_max - np.log(2.0)))
     box_max = float(S.F.values[: k_hi + 1, i_lo : i_hi + 1, :].max())
     strict = extract_boundary(S, tol_abs=0.0)
-    sentinel_ok = bool(np.all(strict.is_sentinel()[:-1]) and np.all(strict.b_raw[-1] == 1.0))
+    sentinel_ok = bool(np.all(is_sentinel(strict)[:-1]) and np.all(strict.b_raw[-1] == 1.0))
     blurred = extract_boundary(S, pinned.TOL_ABS_DEFAULT)
     n_blurred = int(np.isfinite(blurred.b_raw[:-1]).sum())
     ok = box_max < -pinned.AT_MATURITY_MARGIN and sentinel_ok

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import is_sentinel
 
 from ultmax import pinned
 from ultmax.boundary import Boundary, NonMonotoneSlice, check_boundary_monotone, extract_boundary, upper_set_start
@@ -43,7 +44,7 @@ def test_immediate_boundary_is_the_floor():
 def test_at_maturity_boundary_is_sentinel_before_horizon():
     _, S = solve(AT_MATURITY)
     b = extract_boundary(S, tol_abs=0.0)
-    assert np.all(b.is_sentinel()[:-1])
+    assert np.all(is_sentinel(b)[:-1])
     assert np.all(b.b_raw[-1] == 1.0)
 
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ultmax import cli
@@ -307,10 +308,12 @@ def test_eval_csvs_parse_with_a_csv_reader(config, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Golden bytes: the sha256 of every file these small runs write.  The values
-# were recorded once and must not move unless an output format changes on
-# purpose; two runs of the same tree (test_identical_runs_are_bit_identical)
-# cannot catch a format change.
+# Golden bytes: the sha256 of every file these runs write.  The values were
+# recorded once and must not move unless an output format changes on purpose;
+# two runs of the same tree (test_identical_runs_are_bit_identical) cannot
+# catch a format change.  All but one are small; ``solve_full_size`` runs the
+# shipped model's 400 x 200 grid, so the surface CSVs' spelling is pinned
+# across many more exponents than 12 x 6 nodes reach.
 # ---------------------------------------------------------------------------
 
 SMALL_YAML = """\
@@ -337,12 +340,14 @@ volterra:
 # At-maturity family (mu >= sigma^2 in every regime) with zero tolerances, so
 # the boundary is the +inf sentinel before the horizon.
 AT_MATURITY_YAML = SMALL_YAML.replace("mu: [0.15, 0.05]", "mu: [0.3, 0.2]") + "tolerances: {tol_abs: 0, eps_sign: 0}\n"
+FULL_SIZE_YAML = SMALL_YAML.replace("n_x: 12", "n_x: 400").replace("n_t: 6", "n_t: 200")
 ONE_POLICY_YAML = SMALL_YAML.replace(
     'policies: ["boundary", "immediate", "at_maturity", {threshold: [1.05, 1.05]}]', 'policies: ["boundary"]'
 )
 
 GOLDEN_RUNS = {
     "solve_at_maturity": ("solve", AT_MATURITY_YAML, ["--plot-script"]),
+    "solve_full_size": ("solve", FULL_SIZE_YAML, ["--plot-script"]),
     "boundary_at_maturity": ("boundary", AT_MATURITY_YAML, ["--plot-script"]),
     "figure": ("figure", SMALL_YAML, ["--plot-script"]),
     "gcheck_paths_dump": ("gcheck", SMALL_YAML, ["--paths-dump"]),
@@ -388,6 +393,13 @@ GOLDEN_SHA256 = {
         "run_manifest.txt": "afed359f6d794c820d3f01427c37b935d08c0327d269a74bd3f041d9be9b925c",
         "value_surface.csv": "be801481c164a12ffe148fe221adb1827507df8ac63a1346a4929366682a5c57",
     },
+    "solve_full_size": {
+        "h_level.csv": "3571cb34e06f2b78608b46a18231da6746e2c609450c74dba344f277f4790813",
+        "h_level.csv.gp": "66c5227998c8c742d36786b5cf0532e90aff0dda6a6fdc735c286ff419d84840",
+        "lg_surface.csv": "bba0808ac5519e201f68c6b30b9567ed101205d645553f231d6b32627ee3c9be",
+        "run_manifest.txt": "52bc96394bffe3d53dce1a29bb87e74b9345c6ecf444f85657ed96dcabd4244c",
+        "value_surface.csv": "9b62bf75e21d2c5e30f5ddc58127edb1b7d8a90b55cfb2d0d818b5f54ac4881c",
+    },
     "volterra": {
         "run_manifest.txt": "18ca6d20dc06d8b97303855cd0f19f9d08c709275e93baaa4b636492ccbf6b78",
         "volterra.csv": "a2c9727f08e99e2be05786b05d56ca10c2140a023f8faa1633908facdd5c616b",
@@ -412,6 +424,79 @@ def test_output_bytes_match_golden_hashes(case, tmp_path):
     rc, hashes = output_hashes(case, tmp_path)
     assert rc == 0
     assert hashes == GOLDEN_SHA256[case]
+
+
+def row_by_row_csv(header, blocks, keys=()):
+    """What ``_write_csv`` writes, spelled as the writer it replaced did: ``spec % row`` per row.
+
+    A block's 0-d columns are repeated down its rows and the keys put after
+    them, so every row is a full tuple; each column's spec comes from its type.
+    """
+    specs = {"b": "%d", "i": "%d", "u": "%d", "f": "%.12g"}
+
+    def column(col):
+        if col.dtype.kind in specs:
+            return specs[col.dtype.kind], col.tolist()
+        return "%s", ['"' + v.replace('"', '""') + '"' if "," in v or '"' in v else v for v in col.tolist()]
+
+    text = ",".join(header) + "\n"
+    for block in blocks:
+        block = [np.asarray(col) for col in block]
+        n_lead = next((i for i, col in enumerate(block) if col.ndim), len(block))
+        n = len(keys[0]) if len(keys) else len(block[n_lead]) if n_lead < len(block) else 0
+        full = [np.full(n, col) for col in block[:n_lead]] + [np.asarray(k) for k in keys] + block[n_lead:]
+        cols = [column(col) for col in full]
+        spec = ",".join(s for s, _ in cols) + "\n"
+        text += "".join(spec % row for row in zip(*(values for _, values in cols)))
+    return text
+
+
+SPECIAL = np.array([np.inf, -np.inf, np.nan, -0.0, 5e-324, 1e300])
+BIG = np.array([2**53 + 1, 2**63 - 1, -(2**63), 0, 7, -1], dtype=np.int64)
+TEXT = np.array(["a,b", 'say "hi"', "50%", "%d%%", "plain", ""])
+
+WRITER_CASES = {
+    # A surface's layout: t per block, (x, j) keys, then values.
+    "special_floats": (
+        ["t", "x", "j", "v", "w"],
+        [[np.float64(t), SPECIAL[::-1] * s, SPECIAL * s] for t, s in ((-np.inf, 1.0), (np.nan, -1.0), (5e-324, 0.5))],
+        [SPECIAL, np.arange(1, 7)],
+    ),
+    # paths.csv's layout: an int lead, int and float keys, int16 states and bools.
+    "big_ints_int16_bools": (
+        ["p", "step", "t", "state", "flag", "big", "u"],
+        [[p, np.array([1, 2, 3, 0, -4, 32767], dtype=np.int16), np.arange(6) % 2 == p, BIG * (1 - 2 * p),
+          np.array([2**64 - 1, 0, 1, 2**53 + 3, 5, 6], dtype=np.uint64)] for p in (0, 1, 2)],
+        [BIG, SPECIAL],
+    ),
+    "text_with_comma_quote_percent": (
+        ["lead", "key", "n", "text"],
+        [[np.str_(lead), np.arange(6), TEXT[::-1]] for lead in ("100%", 'q"uo,te', "x")],
+        [TEXT],
+    ),
+    # A 0-d lead that is text, keys that are text, with no value column.
+    "keys_only": (["lead", "a", "b"], [[np.str_("%s")], [np.float64(-0.0)]], [TEXT, BIG]),
+    "single_row_blocks": (
+        ["t", "x", "j", "v"],
+        [[np.float64(0.5), np.array([1e300])], [np.float64(-0.0), np.array([np.nan])]],
+        [np.array([5e-324]), np.array([True])],
+    ),
+    # No keys: blocks of per-row columns (h_level.csv, eval.csv), an empty one, and one row.
+    "no_keys": (
+        ["t", "j", "h"],
+        [[SPECIAL, np.full(6, 2), BIG], zip(*[]), [TEXT[:1], np.array([3], dtype=np.int16), np.array([True])]],
+        (),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRITER_CASES))
+def test_write_csv_matches_the_row_by_row_writer(case, tmp_path):
+    header, blocks, keys = WRITER_CASES[case]
+    blocks = [list(block) for block in blocks]
+    path = tmp_path / "out.csv"
+    cli._write_csv(path, header, iter(blocks), keys)
+    assert path.read_bytes() == row_by_row_csv(header, blocks, keys).encode()
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,8 @@
 SciPy is a test dependency only: here it is the oracle for the lattice's
 tridiagonal solve (``scipy.linalg.solve_banded``, LAPACK dgtsv), for the
 normal CDF of the truncation tail bound (``scipy.special.ndtr``) and for the
-bound itself where its reflected term overflows (``scipy.special.log_ndtr``).
+bound itself where its reflected term overflows (``scipy.special.log_ndtr``,
+or mpmath where that cancels too).
 """
 
 import json
@@ -14,6 +15,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
@@ -196,15 +198,29 @@ def test_cli_imports_no_scipy(tmp_path):
     assert (tmp_path / "out" / "value_surface.csv").is_file()
 
 
+def mpmath_tail_bound(mu, sigma, a):
+    """The T = 1 bound in 60-digit arithmetic, from the exact binary values of a, sigma and nu.
+
+    nu is the double the library forms, ``mu - 0.5 * sigma**2``: with a within
+    3e-10 of nu, rounding nu alone moves the bound by 1.5e-10 relative.
+    """
+    with mpmath.workdps(60):
+        nu, sigma, a = map(mpmath.mpf, (mu - 0.5 * sigma**2, sigma, a))
+        phi_neg = lambda v: mpmath.erfc(v / mpmath.sqrt(2)) / 2  # noqa: E731
+        return float(phi_neg((a - nu) / sigma) + mpmath.exp(2 * nu * a / sigma**2) * phi_neg((a + nu) / sigma))
+
+
 @pytest.mark.parametrize(
     "mu, sigma, z_max, known",
     [
         (1.0, 0.05, 1.0, None), (0.887, 0.05, 1.0, None), (0.5, 0.04, None, None), (0.15, 0.5, 1.2, None),
         (0.1, 1e-70, 0.05, None), (0.1, 1e-160, 0.05, 1.0), (0.1, 1e-70, 0.1, 0.5),
+        (0.5, 1e-12, 0.50000000003, mpmath_tail_bound(0.5, 1e-12, 0.50000000003)),
+        (0.5, 1e-11, 0.5000000003, mpmath_tail_bound(0.5, 1e-11, 0.5000000003)),
     ],
     ids=[
         "exp_overflows", "ndtr_underflows", "default_z_max", "direct", "erfc_ratio_nan", "sigma_squared_underflows",
-        "z_max_at_drift",
+        "z_max_at_drift", "a_minus_z_squared_overflows", "a_minus_z_squared_is_noise",
     ],
 )
 def test_truncation_tail_bound_matches_log_ndtr(mu, sigma, z_max, known):
@@ -213,6 +229,8 @@ def test_truncation_tail_bound_matches_log_ndtr(mu, sigma, z_max, known):
     # Where the oracle cancels (inf - inf, or two terms near 1e138) the bound
     # is ``known``: a path that surely drifts past a = 0.05 < nu T gives 1,
     # and at a = nu T the direct term is 1/2 and the reflected one below 1e-70.
+    # With a tiny sigma and a 30 sigma above nu T, A and B^2 / 2 are near 5e23
+    # and agree to 450, so the bound, about 4.9e-198, comes from mpmath.
     model = validate(RegimeModel(mu=[mu], sigma=[sigma], Q=[[0.0]], T=1.0))
     a = default_z_max(model) if z_max is None else z_max
     nu, s = mu - 0.5 * sigma**2, sigma
