@@ -31,7 +31,7 @@ import yaml
 from . import paths, pinned
 from .boundary import NonMonotoneSlice, check_boundary_monotone, extract_boundary
 from .gain import dG_dx, g_monte_carlo, g_pde, h_level, lg
-from .grids import Grid, truncation_tail_bound
+from .grids import DEFAULT_N_T, DEFAULT_N_X, Grid, truncation_tail_bound
 from .markov import derive_seed
 from .model import ModelError, NotApplicable, RegimeModel, classify, validate
 from .paths import simulate_paths
@@ -123,25 +123,44 @@ def _write_kv(path: Path, entries: dict) -> None:
 
 
 _REQUIRED = object()
+_ALL = ("gcheck", "solve", "boundary", "volterra", "eval", "figure")
+_LATTICE = _ALL[:5]  # figure pins the model and the time steps
+_PATHS = ("gcheck", "volterra", "eval")  # the subcommands that simulate paths
+
+# Every key a config may hold: dotted key -> (type, default or _REQUIRED,
+# minimum, the subcommands that read it).  The README's table lists the same.
+CONFIG_KEYS = {
+    "model.mu": (list, _REQUIRED, None, _LATTICE),
+    "model.sigma": (list, _REQUIRED, None, _LATTICE),
+    "model.q": (list, _REQUIRED, None, _LATTICE),
+    "model.horizon": (float, _REQUIRED, None, _LATTICE),
+    "grid.n_x": (int, DEFAULT_N_X, 3, _ALL),
+    "grid.n_t": (int, DEFAULT_N_T, 1, _LATTICE),
+    "grid.z_max": (float, None, None, _ALL),
+    "mc.n_paths": (int, _REQUIRED, 1, _PATHS),
+    "mc.n_steps": (int, 250, 1, _PATHS),
+    "mc.seed": (int, _REQUIRED, 0, _PATHS),
+    "mc.bridge_max": (bool, True, None, _PATHS),
+    "tolerances.tol_abs": (float, pinned.TOL_ABS_DEFAULT, 0.0, _ALL),
+    "tolerances.eps_sign": (float, pinned.EPS_SIGN_DEFAULT, 0.0, _ALL),
+    "eval.start_regime": (int, 1, 1, ("eval",)),
+    "eval.policies": (list, ["boundary", "immediate", "at_maturity"], None, ("eval",)),
+    "volterra.n_quad": (int, 64, 1, ("volterra",)),
+    "volterra.report_every": (int, 10, 1, ("volterra",)),
+    "outputs": (str, ".", None, _ALL),
+}
+_SECTIONS = {key.split(".")[0] for key in CONFIG_KEYS if "." in key}
 
 
-def _need(cfg: dict, path: str, kind, default=_REQUIRED, minimum=None):
-    """The config value at the dotted ``path``, checked to be a ``kind``.
+def _need(cfg: dict, path: str, kind, default, minimum):
+    """The config value at ``path`` (``key``, or ``section.key`` of a mapping or null), checked.
 
-    Every config read goes through here, so a bad value is a ConfigError that
-    names its key.  An absent or null key gives ``default`` (an absent
-    section, all defaults); without a default the key is required.  A float
-    key accepts integers; no numeric key accepts a bool.
+    An absent or null key gives ``default``; without a default the key is
+    required.  The value must be a ``kind``: a float key accepts integers and
+    must be finite; no numeric key accepts a bool.
     """
-    *sections, key = path.split(".")
-    sec = cfg
-    for depth, name in enumerate(sections):
-        sec = sec.get(name)
-        if sec is None:
-            sec = {}
-        elif not isinstance(sec, dict):
-            raise ConfigError(f"{'.'.join(sections[: depth + 1])}: expected a mapping, got {type(sec).__name__}")
-    val = sec.get(key)
+    section, _, key = path.rpartition(".")
+    val = (cfg.get(section) or {}).get(key) if section else cfg.get(key)
     if val is None:
         if default is _REQUIRED:
             raise ConfigError(f"{path}: missing required key")
@@ -152,10 +171,34 @@ def _need(cfg: dict, path: str, kind, default=_REQUIRED, minimum=None):
     val = kind(val)
     if minimum is not None and not val >= minimum:  # nan fails too
         raise ConfigError(f"{path}: must be at least {minimum}, got {val}")
+    if kind is float and not np.isfinite(val):
+        raise ConfigError(f"{path}: must be finite, got {val}")
     return val
 
 
-def load_config(path: str) -> dict:
+def read_config(cfg: dict, subcommand: str, overrides: dict) -> dict:
+    """Every key of ``CONFIG_KEYS`` by dotted key, each checked whichever subcommand runs.
+
+    A key not in the table is an error.  One that ``subcommand`` does not read
+    is None if absent.  A flag's value in ``overrides``, unless None, replaces
+    its key's, which is then not required.
+    """
+    for name, sec in cfg.items():
+        if name in _SECTIONS and not isinstance(sec, (dict, type(None))):
+            raise ConfigError(f"{name}: expected a mapping, got {type(sec).__name__}")
+        for key in [f"{name}.{k}" for k in sec or {}] if name in _SECTIONS else [name]:
+            if key not in CONFIG_KEYS:
+                raise ConfigError(f"{key}: unknown key")
+    settings = {}
+    for key, (kind, default, minimum, readers) in CONFIG_KEYS.items():
+        flag = overrides.get(key)
+        value = _need(cfg, key, kind, default if subcommand in readers and flag is None else None, minimum)
+        settings[key] = value if flag is None else flag
+    return settings
+
+
+def load_config(path: str) -> tuple[dict, str]:
+    """The parsed config file and the sha256 of its text."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -168,45 +211,22 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config parse error{loc}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a mapping")
-    cfg["_sha256"] = hashlib.sha256(text.encode()).hexdigest()
-    return cfg
+    return cfg, hashlib.sha256(text.encode()).hexdigest()
 
 
-def build_model(cfg: dict) -> RegimeModel:
-    mu = _need(cfg, "model.mu", list)
-    sigma = _need(cfg, "model.sigma", list)
-    q = _need(cfg, "model.q", list)
-    horizon = _need(cfg, "model.horizon", float)
+def _policy(entry, m: int):
+    """One ``eval.policies`` entry as a Policy; ``"boundary"`` stays a name until the boundary is solved."""
+    if entry in ("boundary", "immediate", "at_maturity"):
+        return entry if entry == "boundary" else getattr(Policy, entry)()
+    if not isinstance(entry, dict) or list(entry) != ["threshold"]:
+        raise ConfigError(f"eval.policies: unknown policy {entry!r}")
     try:
-        return validate(RegimeModel(mu=mu, sigma=sigma, Q=q, T=horizon))
-    except (ModelError, ValueError) as exc:
-        raise ConfigError(f"model: {exc}") from exc
-
-
-def build_grid(cfg: dict, model: RegimeModel, n_t_override: int | None = None) -> Grid:
-    n_x = _need(cfg, "grid.n_x", int, 400, minimum=3)
-    n_t = n_t_override if n_t_override is not None else _need(cfg, "grid.n_t", int, 200, minimum=1)
-    z_max = _need(cfg, "grid.z_max", float, None)
-    try:
-        return Grid.for_model(model, n_x=n_x, n_t=n_t, z_max=z_max)
-    except ValueError as exc:  # n_x and n_t are checked above, so it is z_max
-        raise ConfigError(f"grid.z_max: {exc}") from exc
-
-
-def mc_settings(cfg: dict, seed: int) -> dict:
-    return dict(
-        n_paths=_need(cfg, "mc.n_paths", int, minimum=1),
-        n_steps=_need(cfg, "mc.n_steps", int, 250, minimum=1),
-        seed=seed,
-        bridge_max=_need(cfg, "mc.bridge_max", bool, True),
-    )
-
-
-def tolerance_settings(cfg: dict) -> dict:
-    return dict(
-        tol_abs=_need(cfg, "tolerances.tol_abs", float, pinned.TOL_ABS_DEFAULT, minimum=0.0),
-        eps_sign=_need(cfg, "tolerances.eps_sign", float, pinned.EPS_SIGN_DEFAULT, minimum=0.0),
-    )
+        policy = Policy.fixed_threshold(entry["threshold"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"eval.policies: {entry!r}: {exc}") from exc
+    if policy.levels.shape != (m,):
+        raise ConfigError(f"eval.policies: {entry!r}: need one threshold level per regime")
+    return policy
 
 
 # ---------------------------------------------------------------------------
@@ -214,30 +234,42 @@ def tolerance_settings(cfg: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
-# Subcommands that simulate paths, and so need a seed; the others record 0.
-_SEEDED = ("gcheck", "volterra", "eval")
-
-
 class RunInputs:
-    """What every subcommand reads first, in this order: model, grid, tolerances, seed.
+    """Everything a subcommand reads from its config, checked before any output is written.
 
     ``figure`` pins the model and the time steps.  The seed is ``--seed`` if
-    given, else ``mc.seed``; runs are never seeded from the clock.
+    given, else ``mc.seed``, else 0 for a subcommand that simulates nothing;
+    runs are never seeded from the clock.
     """
 
-    def __init__(self, cfg: dict, subcommand: str, seed_override: int | None):
+    def __init__(self, cfg: dict, subcommand: str, overrides: dict):
+        self.settings = s = read_config(cfg, subcommand, overrides)
         figure = subcommand == "figure"
-        self.model = validate(pinned.make_model(pinned.FIGURE_MODEL)) if figure else build_model(cfg)
-        self.grid = build_grid(cfg, self.model, pinned.FIGURE_N_T if figure else None)
-        self.tols = tolerance_settings(cfg)
-        default = _REQUIRED if subcommand in _SEEDED else 0
-        self.seed = seed_override if seed_override is not None else _need(cfg, "mc.seed", int, default, minimum=0)
+        try:
+            self.model = validate(pinned.make_model(pinned.FIGURE_MODEL) if figure else
+                                  RegimeModel(s["model.mu"], s["model.sigma"], s["model.q"], s["model.horizon"]))
+        except (ModelError, ValueError) as exc:
+            raise ConfigError(f"model: {exc}") from exc
+        try:
+            n_t = pinned.FIGURE_N_T if figure else s["grid.n_t"]
+            self.grid = Grid.for_model(self.model, n_x=s["grid.n_x"], n_t=n_t, z_max=s["grid.z_max"])
+        except ValueError as exc:  # n_x and n_t are checked above, so it is z_max
+            raise ConfigError(f"grid.z_max: {exc}") from exc
+        self.seed = s["mc.seed"] or 0  # a subcommand that simulates nothing may have none
+        self.mc = dict(n_paths=s["mc.n_paths"], n_steps=s["mc.n_steps"], seed=self.seed, bridge_max=s["mc.bridge_max"])
+        if subcommand == "eval":
+            self.j0 = s["eval.start_regime"] - 1
+            if self.j0 >= self.model.m:
+                raise ConfigError(f"eval.start_regime: regime label {self.j0 + 1} outside 1..{self.model.m}")
+            self.policies = [_policy(entry, self.model.m) for entry in s["eval.policies"]]
+            if not self.policies:
+                raise ConfigError("eval.policies: empty list")
 
     def surfaces(self):
         return solve_value(self.model, self.grid, g_pde(self.model, self.grid))
 
     def boundary(self, surfaces):
-        return extract_boundary(surfaces, self.tols["tol_abs"])
+        return extract_boundary(surfaces, self.settings["tolerances.tol_abs"])
 
 
 def _surface_blocks(grid, *surfaces):
@@ -267,14 +299,14 @@ def _write_boundary(out_dir: Path, boundary, plot_script: bool) -> None:
         _plot_script(out_dir, "boundary.csv", 1, (3, 4), 2, grid.m, "stopping boundary by regime")
 
 
-def _base_manifest(cfg, subcommand, inputs: RunInputs) -> dict:
+def _base_manifest(config_sha256: str, subcommand: str, inputs: RunInputs) -> dict:
     from . import __version__
 
     model, grid = inputs.model, inputs.grid
     return {
         "subcommand": subcommand,
         "library_version": __version__,
-        "config_sha256": cfg["_sha256"],
+        "config_sha256": config_sha256,
         "seed": inputs.seed,
         "exercise_regime": classify(model).value,
         "n_x": grid.n_x,
@@ -282,8 +314,8 @@ def _base_manifest(cfg, subcommand, inputs: RunInputs) -> dict:
         "z_max": grid.z_max,
         "dz": grid.dz,
         "dt": grid.dt,
-        "tol_abs": inputs.tols["tol_abs"],
-        "eps_sign": inputs.tols["eps_sign"],
+        "tol_abs": inputs.settings["tolerances.tol_abs"],
+        "eps_sign": inputs.settings["tolerances.eps_sign"],
         "tol_scheme_pinned": pinned.TOL_SCHEME,
         "truncation_tail_bound": truncation_tail_bound(model, grid.z_max),
     }
@@ -291,11 +323,7 @@ def _base_manifest(cfg, subcommand, inputs: RunInputs) -> dict:
 
 def _plot_script(out_dir: Path, csv_name: str, x_col: int, y_cols, series_col: int, m: int, title: str) -> None:
     """Tiny gnuplot helper next to a CSV; plotting stays out of process."""
-    lines = [
-        "set datafile separator ','",
-        f"set title '{title}'",
-        "set key autotitle columnhead",
-    ]
+    lines = ["set datafile separator ','", f"set title '{title}'", "set key autotitle columnhead"]
     plots = []
     for j in range(1, m + 1):
         for y in y_cols:
@@ -322,9 +350,8 @@ def _dump_paths(out_dir: Path, model, mc) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_gcheck(args, cfg, out_dir, inputs):
-    model, grid = inputs.model, inputs.grid
-    mc = mc_settings(cfg, inputs.seed)
+def cmd_gcheck(args, out_dir, inputs):
+    model, grid, mc = inputs.model, inputs.grid, inputs.mc
     surface_g = g_pde(model, grid)
     surface_d = dG_dx(surface_g, grid)
 
@@ -352,7 +379,7 @@ def cmd_gcheck(args, cfg, out_dir, inputs):
     return keys, None if ok.all() else "lattice and Monte Carlo gain estimates disagree beyond tolerance"
 
 
-def cmd_solve(args, cfg, out_dir, inputs):
+def cmd_solve(args, out_dir, inputs):
     model, grid = inputs.model, inputs.grid
     surfaces = inputs.surfaces()
     surface_d = dG_dx(surfaces.G, grid)
@@ -360,7 +387,7 @@ def cmd_solve(args, cfg, out_dir, inputs):
 
     _write_value_surface(out_dir, surfaces)
     _write_csv(out_dir / "lg_surface.csv", ["t", "x", "j", "value"], *_surface_blocks(grid, surface_lg))
-    h = [h_level(surface_lg, grid, j, inputs.tols["eps_sign"]) for j in range(grid.m)]
+    h = [h_level(surface_lg, grid, j, inputs.settings["tolerances.eps_sign"]) for j in range(grid.m)]
     h_blocks = [[grid.t, np.full(grid.t.size, j + 1), h[j]] for j in range(grid.m)]
     _write_csv(out_dir / "h_level.csv", ["t", "j", "h"], h_blocks)
     if args.plot_script:
@@ -368,7 +395,7 @@ def cmd_solve(args, cfg, out_dir, inputs):
     return {}, None
 
 
-def cmd_boundary(args, cfg, out_dir, inputs):
+def cmd_boundary(args, out_dir, inputs):
     grid = inputs.grid
     boundary = inputs.boundary(inputs.surfaces())
     _write_boundary(out_dir, boundary, args.plot_script)
@@ -391,10 +418,8 @@ def cmd_boundary(args, cfg, out_dir, inputs):
     return report, "boundary monotonicity/continuity check failed" if failed else None
 
 
-def cmd_volterra(args, cfg, out_dir, inputs):
-    mc = mc_settings(cfg, inputs.seed)
-    n_quad = _need(cfg, "volterra.n_quad", int, 64, minimum=1)
-    report_every = _need(cfg, "volterra.report_every", int, 10, minimum=1)
+def cmd_volterra(args, out_dir, inputs):
+    mc, n_quad, report_every = inputs.mc, inputs.settings["volterra.n_quad"], inputs.settings["volterra.report_every"]
     surfaces = inputs.surfaces()
     rep = volterra_residual(
         inputs.model, surfaces, inputs.boundary(surfaces), mc["n_paths"], n_quad, mc["seed"],
@@ -411,38 +436,12 @@ def cmd_volterra(args, cfg, out_dir, inputs):
     return keys, None
 
 
-def _build_policies(cfg, inputs, surfaces):
-    names = _need(cfg, "eval.policies", list, ["boundary", "immediate", "at_maturity"])
-    policies = []
-    boundary = inputs.boundary(surfaces) if "boundary" in names else None
-    for p in names:
-        if p == "boundary":
-            policies.append(Policy.from_boundary(boundary))
-        elif p == "immediate":
-            policies.append(Policy.immediate())
-        elif p == "at_maturity":
-            policies.append(Policy.at_maturity())
-        elif isinstance(p, dict) and "threshold" in p:
-            try:
-                policies.append(Policy.fixed_threshold(p["threshold"]))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"eval.policies: {p!r}: {exc}") from exc
-            if policies[-1].levels.shape[0] != inputs.model.m:
-                raise ConfigError(f"eval.policies: {p!r}: need one threshold level per regime")
-        else:
-            raise ConfigError(f"eval.policies: unknown policy {p!r}")
-    if not policies:
-        raise ConfigError("eval.policies: empty list")
-    return policies
-
-
-def cmd_eval(args, cfg, out_dir, inputs):
-    mc = mc_settings(cfg, inputs.seed)
-    j0 = _need(cfg, "eval.start_regime", int, 1, minimum=1) - 1
-    if j0 >= inputs.model.m:
-        raise ConfigError(f"eval.start_regime: regime label {j0 + 1} outside 1..{inputs.model.m}")
-    policies = _build_policies(cfg, inputs, inputs.surfaces())
-    estimates, pairs = compare_policies(inputs.model, policies, j0, **mc)
+def cmd_eval(args, out_dir, inputs):
+    surfaces, j0 = inputs.surfaces(), inputs.j0
+    boundary = inputs.boundary(surfaces) if "boundary" in inputs.policies else None
+    del surfaces  # the Monte Carlo pass needs only the boundary, so the surfaces are freed before it
+    policies = [Policy.from_boundary(boundary) if p == "boundary" else p for p in inputs.policies]
+    estimates, pairs = compare_policies(inputs.model, policies, j0, **inputs.mc)
     rows = [(e.policy.name(), j0 + 1, e.mean, e.std_error, e.n_paths) for e in estimates]
     _write_csv(out_dir / "eval.csv", ["policy", "j0", "mean", "std_error", "n_paths"], [zip(*rows)])
     rows = [(p.policy_a, p.policy_b, p.diff, p.diff_se) for p in pairs]
@@ -450,7 +449,7 @@ def cmd_eval(args, cfg, out_dir, inputs):
     return {}, None
 
 
-def cmd_figure(args, cfg, out_dir, inputs):
+def cmd_figure(args, out_dir, inputs):
     """End-to-end reproduction of the two-state positive-drift pipeline.
 
     The model, horizon and 100-step time grid are pinned constants; the config
@@ -484,16 +483,16 @@ COMMANDS = {
 def run(subcommand: str, args) -> int:
     """Read the inputs, run the subcommand, write ``run_manifest.txt`` (on exit 4 too)."""
     try:
-        cfg = load_config(args.config)
-        key = "--out" if args.out is not None else "outputs"
-        out_dir = Path(args.out if args.out is not None else _need(cfg, "outputs", str, "."))
+        cfg, config_sha256 = load_config(args.config)
+        inputs = RunInputs(cfg, subcommand, {"mc.seed": args.seed, "outputs": args.out})
+        out_dir = Path(inputs.settings["outputs"])
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
+            key = "--out" if args.out is not None else "outputs"
             raise ConfigError(f"{key}: cannot create output directory {out_dir}: {exc}") from exc
-        inputs = RunInputs(cfg, subcommand, args.seed)
-        keys, failure = COMMANDS[subcommand](args, cfg, out_dir, inputs)
-        _write_kv(out_dir / "run_manifest.txt", {**_base_manifest(cfg, subcommand, inputs), **keys})
+        keys, failure = COMMANDS[subcommand](args, out_dir, inputs)
+        _write_kv(out_dir / "run_manifest.txt", {**_base_manifest(config_sha256, subcommand, inputs), **keys})
         if failure is not None:
             raise PropertyCheckFailure(failure)
         return EXIT_OK

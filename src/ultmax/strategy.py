@@ -50,7 +50,7 @@ class Policy:
     @classmethod
     def fixed_threshold(cls, levels) -> "Policy":
         levels = np.atleast_1d(np.asarray(levels, dtype=float))
-        if np.any(levels < 1.0):
+        if not np.all(levels >= 1.0):  # nan fails too
             raise ValueError("threshold levels must be at least 1")
         return cls("fixed_threshold", levels=levels)
 

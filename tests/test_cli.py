@@ -195,7 +195,7 @@ def test_overflowing_lattice_coefficients_exit_3(config, tmp_path):
 def test_property_failures_exit_4(config, tmp_path, monkeypatch):
     # No organic trigger exists at sane settings (the projection yields
     # exactly clean upper sets), so exercise the exit-code contract directly.
-    def boom(args, cfg, out_dir, inputs):
+    def boom(args, out_dir, inputs):
         raise cli.PropertyCheckFailure("synthetic")
 
     monkeypatch.setitem(cli.COMMANDS, "boundary", boom)
@@ -203,7 +203,7 @@ def test_property_failures_exit_4(config, tmp_path, monkeypatch):
 
     from ultmax.boundary import NonMonotoneSlice
 
-    def boom2(args, cfg, out_dir, inputs):
+    def boom2(args, out_dir, inputs):
         raise NonMonotoneSlice("synthetic")
 
     monkeypatch.setitem(cli.COMMANDS, "solve", boom2)
@@ -213,7 +213,7 @@ def test_property_failures_exit_4(config, tmp_path, monkeypatch):
 def test_manifest_is_written_on_a_property_failure(config, tmp_path, monkeypatch, capsys):
     # A subcommand returns its manifest keys and the failed check's message;
     # run writes the manifest (base keys, then the subcommand's) and exits 4.
-    def failing(args, cfg, out_dir, inputs):
+    def failing(args, out_dir, inputs):
         return {"synthetic_key": 1}, "synthetic"
 
     monkeypatch.setitem(cli.COMMANDS, "boundary", failing)
@@ -254,10 +254,16 @@ def test_csv_number_format_is_12_significant_digits(config, tmp_path):
         ("boundary", "volterra:\n", "tolerances: {tol_abs: .nan}\nvolterra:\n", "tolerances.tol_abs"),
         ("solve", "volterra:\n", "tolerances: {eps_sign: .nan}\nvolterra:\n", "tolerances.eps_sign"),
         ("solve", "sigma: [0.5, 0.3]", "sigma: [1e300, 0.3]", "model: sigma[0]"),
+        ("boundary", "volterra:\n", "tolerances: {tol_abs: .inf}\nvolterra:\n", "tolerances.tol_abs: must be finite"),
+        ("solve", "volterra:\n", "tolerances: {eps_sign: .inf}\nvolterra:\n", "tolerances.eps_sign: must be finite"),
+        ("eval", '"at_maturity"]', '"at_maturity", {threshold: [1.05, 1.05], extra: 3}]', "eval.policies"),
+        ("eval", '"at_maturity"]', '"at_maturity", {threshold: [.nan, .nan]}]', "eval.policies"),
+        ("eval", '"at_maturity"]', '"at_maturity", {threshold: [[1.05, 1.05], [1.05, 1.05]]}]', "eval.policies"),
     ],
     ids=[
         "n_x_text", "report_every_0", "n_quad_0", "bridge_max_text", "threshold_count", "no_policies",
         "z_max_nan", "z_max_inf", "seed_negative", "tol_abs_nan", "eps_sign_nan", "sigma_square_overflows",
+        "tol_abs_inf", "eps_sign_inf", "threshold_extra_key", "threshold_nan", "threshold_nested",
     ],
 )
 def test_bad_config_value_exits_2_naming_the_key(config, tmp_path, capsys, sub, old, new, key):
@@ -266,6 +272,31 @@ def test_bad_config_value_exits_2_naming_the_key(config, tmp_path, capsys, sub, 
     assert bad.read_text() != config.read_text()
     assert run_cli(sub, bad, tmp_path / "badval") == 2
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ("volterra:\n", "outpts: x\nvolterra:\n", "outpts"),
+        ("  n_x: 120", "  n_x: 120\n  nx: 60", "grid.nx"),
+        ('"at_maturity"]', '"at_maturity", {threshold: [1.05, 1.05], levels: 3}]', "eval.policies"),
+    ],
+    ids=["top_level", "in_a_section", "in_a_policy_entry"],
+)
+def test_unknown_key_exits_2_naming_it_before_any_output(config, tmp_path, capsys, old, new, key):
+    bad = config.parent / "unknown.yaml"
+    bad.write_text(config.read_text().replace(old, new))
+    assert bad.read_text() != config.read_text()
+    assert run_cli("eval", bad, tmp_path / "unknown") == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key}: unknown ")
+    assert not (tmp_path / "unknown").exists()
+
+
+def test_shipped_config_reads_for_every_subcommand():
+    cfg, _ = cli.load_config(Path(__file__).resolve().parents[1] / "configs" / "two_state_positive_drift.yaml")
+    for sub in cli.COMMANDS:
+        inputs = cli.RunInputs(cfg, sub, {})
+        assert inputs.seed == 20260808 and inputs.settings["outputs"] == "out/two_state", sub
 
 
 def test_volterra_without_a_finite_boundary_node_reports_nan(config, tmp_path):

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import yaml
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -20,12 +22,37 @@ def cli_section():
     return README.read_text(encoding="utf-8").split("## CLI", 1)[1].split("\n## ", 1)[0]
 
 
+def table_rows(first_header):
+    """The cells of each row of the CLI section's table whose first column is ``first_header``."""
+    table = cli_section().split(f"\n| {first_header} |", 1)[1].split("\n\n", 1)[0]
+    return [[cell.strip() for cell in line.strip("|").split("|")] for line in table.splitlines()[2:]]
+
+
 def test_readme_subcommand_table_lists_exactly_the_cli_commands():
     from ultmax import cli
 
-    rows = re.findall(r"^\| `([a-z]+)` *\|", cli_section(), re.MULTILINE)
+    rows = [row[0].strip("`") for row in table_rows("subcommand")]
     assert sorted(rows) == sorted(cli.COMMANDS)
     assert len(rows) == len(set(rows))
+
+
+def test_readme_config_key_table_equals_config_keys():
+    from ultmax import cli, pinned
+
+    def literal(cell):
+        """A cell's first `code` span as the value it spells: a YAML literal or a ``pinned`` name."""
+        text = re.match(r"`([^`]*)`", cell).group(1)
+        return getattr(pinned, text[len("pinned."):]) if text.startswith("pinned.") else yaml.safe_load(text)
+
+    rows = table_rows("key")
+    assert [row[0].strip("`") for row in rows] == list(cli.CONFIG_KEYS)
+    for key, kind, default, minimum, read_by in rows:
+        want_kind, want_default, want_minimum, readers = cli.CONFIG_KEYS[key.strip("`")]
+        assert kind == f"`{want_kind.__name__}`", key
+        assert (default == "required") if want_default is cli._REQUIRED else (literal(default) == want_default), key
+        assert (minimum == "—") if want_minimum is None else (literal(minimum) == want_minimum), key
+        named = set(re.findall(r"`([a-z]+)`", read_by))
+        assert (set(cli.COMMANDS) - named if read_by.startswith("all") else named) == set(readers), key
 
 
 def test_readme_usage_flags_appear_in_cli_help():
