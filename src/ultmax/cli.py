@@ -4,8 +4,8 @@ One YAML config file drives every subcommand; see the schema in the README.
 Regimes are 1-based in configs and output files (matching how the model
 families are usually written down), 0-based inside the library.
 
-Every run writes the requested CSVs plus a ``run_manifest.txt`` recording the
-config hash, seed, library version, pinned tolerances and derived grid
+Every run writes its subcommand's CSVs plus a ``run_manifest.txt`` recording
+the config hash, seed, library version, pinned tolerances and derived grid
 quantities, so any output file can be traced to the exact inputs.  CSVs are
 UTF-8, comma-separated, one header row, LF endings; a column's format is
 fixed by its type (integers and flags in full, reals to 12 significant
@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import re
 import sys
 from itertools import chain
 from pathlib import Path
@@ -34,7 +35,6 @@ from .gain import dG_dx, g_monte_carlo, g_pde, h_level, lg
 from .grids import DEFAULT_N_T, DEFAULT_N_X, Grid, truncation_tail_bound
 from .markov import derive_seed
 from .model import ModelError, NotApplicable, RegimeModel, classify, validate
-from .paths import simulate_paths
 from .stepping import GridTooCoarse
 from .strategy import Policy, compare_policies
 from .value import solve_value
@@ -46,8 +46,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_PROPERTY = 4
-
-_MAX_DUMPED_PATHS = 1000
 
 
 class ConfigError(ValueError):
@@ -138,7 +136,7 @@ CONFIG_KEYS = {
     "grid.n_t": (int, DEFAULT_N_T, 1, _LATTICE),
     "grid.z_max": (float, None, None, _ALL),
     "mc.n_paths": (int, _REQUIRED, 1, _PATHS),
-    "mc.n_steps": (int, 250, 1, _PATHS),
+    "mc.n_steps": (int, 250, 1, ("eval",)),
     "mc.seed": (int, _REQUIRED, 0, _PATHS),
     "mc.bridge_max": (bool, True, None, _PATHS),
     "tolerances.tol_abs": (float, pinned.TOL_ABS_DEFAULT, 0.0, _ALL),
@@ -197,6 +195,14 @@ def read_config(cfg: dict, subcommand: str, overrides: dict) -> dict:
     return settings
 
 
+class _ConfigLoader(yaml.SafeLoader):
+    """The safe loader, also reading ``1e-3`` and ``1.0e300`` as floats (YAML 1.1 wants a dot and an exponent sign)."""
+
+
+_EXPONENT_FLOAT = re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$")
+_ConfigLoader.add_implicit_resolver("tag:yaml.org,2002:float", _EXPONENT_FLOAT, list("-+.0123456789"))
+
+
 def load_config(path: str) -> tuple[dict, str]:
     """The parsed config file and the sha256 of its text."""
     try:
@@ -204,7 +210,7 @@ def load_config(path: str) -> tuple[dict, str]:
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
-        cfg = yaml.safe_load(text)
+        cfg = yaml.load(text, _ConfigLoader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         loc = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
@@ -289,14 +295,13 @@ def _write_value_surface(out_dir: Path, surfaces) -> None:
     _write_csv(out_dir / "value_surface.csv", ["t", "x", "j", "V", "G", "F"], *vgf)
 
 
-def _write_boundary(out_dir: Path, boundary, plot_script: bool) -> None:
+def _write_boundary(out_dir: Path, boundary) -> None:
     grid = boundary.grid
     t, j = np.repeat(grid.t, grid.m), np.tile(np.arange(1, grid.m + 1), grid.n_t + 1)
     b_raw = boundary.b_raw.ravel()
     block = [t, j, b_raw, boundary.b_smoothed.ravel(), ~np.isfinite(b_raw)]
     _write_csv(out_dir / "boundary.csv", ["t", "j", "b_raw", "b_smoothed", "is_sentinel"], [block])
-    if plot_script:
-        _plot_script(out_dir, "boundary.csv", 1, (3, 4), 2, grid.m, "stopping boundary by regime")
+    _plot_script(out_dir, "boundary.csv", (3, 4), grid.m, "stopping boundary by regime")
 
 
 def _base_manifest(config_sha256: str, subcommand: str, inputs: RunInputs) -> dict:
@@ -321,27 +326,19 @@ def _base_manifest(config_sha256: str, subcommand: str, inputs: RunInputs) -> di
     }
 
 
-def _plot_script(out_dir: Path, csv_name: str, x_col: int, y_cols, series_col: int, m: int, title: str) -> None:
-    """Tiny gnuplot helper next to a CSV; plotting stays out of process."""
+def _plot_script(out_dir: Path, csv_name: str, y_cols, m: int, title: str) -> None:
+    """Tiny gnuplot helper next to a CSV of t, j, ...: columns ``y_cols`` against t, one series per regime."""
     lines = ["set datafile separator ','", f"set title '{title}'", "set key autotitle columnhead"]
     plots = []
     for j in range(1, m + 1):
         for y in y_cols:
             plots.append(
-                f"'{csv_name}' using {x_col}:(column({series_col})=={j} ? column({y}) : 1/0) "
+                f"'{csv_name}' using 1:(column(2)=={j} ? column({y}) : 1/0) "
                 f"with lines title 'regime {j} col{y}'"
             )
     lines.append("plot " + ", \\\n     ".join(plots))
     with open(out_dir / (csv_name + ".gp"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def _dump_paths(out_dir: Path, model, mc) -> None:
-    n = min(mc["n_paths"], _MAX_DUMPED_PATHS)
-    b = simulate_paths(model, 0.0, 0, n, mc["n_steps"], mc["seed"], mc["bridge_max"])
-    blocks = ([p, b.states[p] + 1, b.y[p], b.ymax[p]] for p in range(n))
-    keys = [np.arange(b.n_steps + 1), b.times]
-    _write_csv(out_dir / "paths.csv", ["path_id", "step", "t", "state", "y", "ymax"], blocks, keys)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +347,7 @@ def _dump_paths(out_dir: Path, model, mc) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_gcheck(args, out_dir, inputs):
+def cmd_gcheck(out_dir, inputs):
     model, grid, mc = inputs.model, inputs.grid, inputs.mc
     surface_g = g_pde(model, grid)
     surface_d = dG_dx(surface_g, grid)
@@ -373,13 +370,11 @@ def cmd_gcheck(args, out_dir, inputs):
         ["t", "x", "j", "pde", "mc", "mc_se", "diff", "tol", "pass"],
         [[t, x, j + 1, pde, mc_val, se, pde - mc_val, tol, ok]],
     )
-    if args.paths_dump:
-        _dump_paths(out_dir, model, mc)
     keys = {"dgdx_clamp_fraction": surface_d.info["clamp_fraction"], "gcheck_pass": int(ok.all())}
     return keys, None if ok.all() else "lattice and Monte Carlo gain estimates disagree beyond tolerance"
 
 
-def cmd_solve(args, out_dir, inputs):
+def cmd_solve(out_dir, inputs):
     model, grid = inputs.model, inputs.grid
     surfaces = inputs.surfaces()
     surface_d = dG_dx(surfaces.G, grid)
@@ -390,15 +385,14 @@ def cmd_solve(args, out_dir, inputs):
     h = [h_level(surface_lg, grid, j, inputs.settings["tolerances.eps_sign"]) for j in range(grid.m)]
     h_blocks = [[grid.t, np.full(grid.t.size, j + 1), h[j]] for j in range(grid.m)]
     _write_csv(out_dir / "h_level.csv", ["t", "j", "h"], h_blocks)
-    if args.plot_script:
-        _plot_script(out_dir, "h_level.csv", 1, (3,), 2, grid.m, "sign-change level by regime")
+    _plot_script(out_dir, "h_level.csv", (3,), grid.m, "sign-change level by regime")
     return {}, None
 
 
-def cmd_boundary(args, out_dir, inputs):
+def cmd_boundary(out_dir, inputs):
     grid = inputs.grid
     boundary = inputs.boundary(inputs.surfaces())
-    _write_boundary(out_dir, boundary, args.plot_script)
+    _write_boundary(out_dir, boundary)
 
     report = {}
     failed = False
@@ -418,7 +412,7 @@ def cmd_boundary(args, out_dir, inputs):
     return report, "boundary monotonicity/continuity check failed" if failed else None
 
 
-def cmd_volterra(args, out_dir, inputs):
+def cmd_volterra(out_dir, inputs):
     mc, n_quad, report_every = inputs.mc, inputs.settings["volterra.n_quad"], inputs.settings["volterra.report_every"]
     surfaces = inputs.surfaces()
     rep = volterra_residual(
@@ -436,7 +430,7 @@ def cmd_volterra(args, out_dir, inputs):
     return keys, None
 
 
-def cmd_eval(args, out_dir, inputs):
+def cmd_eval(out_dir, inputs):
     surfaces, j0 = inputs.surfaces(), inputs.j0
     boundary = inputs.boundary(surfaces) if "boundary" in inputs.policies else None
     del surfaces  # the Monte Carlo pass needs only the boundary, so the surfaces are freed before it
@@ -449,7 +443,7 @@ def cmd_eval(args, out_dir, inputs):
     return {}, None
 
 
-def cmd_figure(args, out_dir, inputs):
+def cmd_figure(out_dir, inputs):
     """End-to-end reproduction of the two-state positive-drift pipeline.
 
     The model, horizon and 100-step time grid are pinned constants; the config
@@ -459,7 +453,7 @@ def cmd_figure(args, out_dir, inputs):
     surfaces = inputs.surfaces()
     boundary = inputs.boundary(surfaces)
     _write_value_surface(out_dir, surfaces)
-    _write_boundary(out_dir, boundary, args.plot_script)
+    _write_boundary(out_dir, boundary)
 
     anchor_ok = bool(np.all(np.abs(np.log(boundary.b_smoothed[-1])) <= grid.dz))
     rep = check_boundary_monotone(boundary, inputs.model)
@@ -491,7 +485,7 @@ def run(subcommand: str, args) -> int:
         except OSError as exc:
             key = "--out" if args.out is not None else "outputs"
             raise ConfigError(f"{key}: cannot create output directory {out_dir}: {exc}") from exc
-        keys, failure = COMMANDS[subcommand](args, out_dir, inputs)
+        keys, failure = COMMANDS[subcommand](out_dir, inputs)
         _write_kv(out_dir / "run_manifest.txt", {**_base_manifest(config_sha256, subcommand, inputs), **keys})
         if failure is not None:
             raise PropertyCheckFailure(failure)
@@ -533,8 +527,6 @@ def main(argv=None) -> int:
         "--threads", type=_at_least(1), default=len(os.sched_getaffinity(0)),
         help="worker threads for Monte Carlo blocks (default: the available cores; outputs do not depend on it)",
     )
-    parser.add_argument("--paths-dump", action="store_true", help="also dump simulated paths (debugging)")
-    parser.add_argument("--plot-script", action="store_true", help="emit gnuplot scripts next to plottable CSVs")
     args = parser.parse_args(argv)
     paths.threads = args.threads
     return run(args.subcommand, args)

@@ -116,6 +116,8 @@ def validate(model: RegimeModel) -> ValidatedModel:
     m = model.m
     if m < 1:
         raise ValueError("need at least one regime")
+    if model.mu.ndim != 1:
+        raise ValueError(f"mu must be a flat list, got shape {model.mu.shape}")
     if model.sigma.shape != (m,):
         raise ValueError(f"sigma must have length {m}, got {model.sigma.shape}")
     if model.Q.shape != (m, m):

@@ -92,6 +92,8 @@ def estimate_J(
     """
     if x < 1.0:
         raise ValueError("x must be at least 1")
+    if t > model.T:
+        raise ValueError("t must not exceed the horizon")
     if t == model.T:
         return float(x), 0.0
     logx = np.log(x)

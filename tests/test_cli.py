@@ -138,10 +138,14 @@ def test_negative_seed_exits_2(config, tmp_path, capsys):
     assert not (tmp_path / "seed").exists()
 
 
-def test_paths_dump_flag(config, tmp_path):
-    out = tmp_path / "dump"
-    assert run_cli("gcheck", config, out, ["--paths-dump"]) == 0
-    assert read_header(out / "paths.csv") == "path_id,step,t,state,y,ymax"
+@pytest.mark.parametrize("flag", ["--plot-script", "--paths-dump"])
+@pytest.mark.parametrize("sub", sorted(cli.COMMANDS))
+def test_removed_output_flags_exit_2(config, tmp_path, capsys, sub, flag):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(sub, config, tmp_path / "flag", [flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "flag").exists()
 
 
 def test_invalid_generator_exits_2(config, tmp_path):
@@ -195,7 +199,7 @@ def test_overflowing_lattice_coefficients_exit_3(config, tmp_path):
 def test_property_failures_exit_4(config, tmp_path, monkeypatch):
     # No organic trigger exists at sane settings (the projection yields
     # exactly clean upper sets), so exercise the exit-code contract directly.
-    def boom(args, out_dir, inputs):
+    def boom(out_dir, inputs):
         raise cli.PropertyCheckFailure("synthetic")
 
     monkeypatch.setitem(cli.COMMANDS, "boundary", boom)
@@ -203,7 +207,7 @@ def test_property_failures_exit_4(config, tmp_path, monkeypatch):
 
     from ultmax.boundary import NonMonotoneSlice
 
-    def boom2(args, out_dir, inputs):
+    def boom2(out_dir, inputs):
         raise NonMonotoneSlice("synthetic")
 
     monkeypatch.setitem(cli.COMMANDS, "solve", boom2)
@@ -213,7 +217,7 @@ def test_property_failures_exit_4(config, tmp_path, monkeypatch):
 def test_manifest_is_written_on_a_property_failure(config, tmp_path, monkeypatch, capsys):
     # A subcommand returns its manifest keys and the failed check's message;
     # run writes the manifest (base keys, then the subcommand's) and exits 4.
-    def failing(args, out_dir, inputs):
+    def failing(out_dir, inputs):
         return {"synthetic_key": 1}, "synthetic"
 
     monkeypatch.setitem(cli.COMMANDS, "boundary", failing)
@@ -259,11 +263,12 @@ def test_csv_number_format_is_12_significant_digits(config, tmp_path):
         ("eval", '"at_maturity"]', '"at_maturity", {threshold: [1.05, 1.05], extra: 3}]', "eval.policies"),
         ("eval", '"at_maturity"]', '"at_maturity", {threshold: [.nan, .nan]}]', "eval.policies"),
         ("eval", '"at_maturity"]', '"at_maturity", {threshold: [[1.05, 1.05], [1.05, 1.05]]}]', "eval.policies"),
+        ("solve", "mu: [0.15, 0.05]", "mu: [[0.15], [0.05]]", "model: mu must be a flat list"),
     ],
     ids=[
         "n_x_text", "report_every_0", "n_quad_0", "bridge_max_text", "threshold_count", "no_policies",
         "z_max_nan", "z_max_inf", "seed_negative", "tol_abs_nan", "eps_sign_nan", "sigma_square_overflows",
-        "tol_abs_inf", "eps_sign_inf", "threshold_extra_key", "threshold_nan", "threshold_nested",
+        "tol_abs_inf", "eps_sign_inf", "threshold_extra_key", "threshold_nan", "threshold_nested", "mu_nested",
     ],
 )
 def test_bad_config_value_exits_2_naming_the_key(config, tmp_path, capsys, sub, old, new, key):
@@ -323,6 +328,31 @@ def test_explicit_zero_tolerances_are_kept(config, tmp_path):
     assert "tol_abs=0" in manifest and "eps_sign=0" in manifest
 
 
+@pytest.mark.parametrize(
+    "sub, old, new, line",
+    [
+        ("boundary", "volterra:\n", "tolerances: {tol_abs: 1e-3}\nvolterra:\n", "tol_abs=0.001"),
+        ("solve", "  n_t: 60", "  n_t: 60\n  z_max: 2e0", "z_max=2"),
+    ],
+    ids=["tol_abs", "z_max"],
+)
+def test_exponent_floats_are_read_as_floats(config, tmp_path, sub, old, new, line):
+    # YAML 1.1 reads 1e-3 and 2e0 (no dot, no exponent sign) as text.
+    exp = config.parent / "exp.yaml"
+    exp.write_text(config.read_text().replace(old, new))
+    out = tmp_path / "exp"
+    assert run_cli(sub, exp, out) == 0
+    assert line in (out / "run_manifest.txt").read_text().splitlines()
+
+
+def test_exponent_float_reading_keeps_ints_and_quoted_text(tmp_path):
+    cfg = tmp_path / "forms.yaml"
+    cfg.write_text('a: [1e-3, 1E3, 1e300, 1.0e300, -2.5E-2, .5e1]\nb: [3, "1e3", 1e, e3]\n')
+    loaded, _ = cli.load_config(cfg)
+    assert loaded["a"] == [1e-3, 1e3, 1e300, 1e300, -2.5e-2, 5.0] and all(type(v) is float for v in loaded["a"])
+    assert loaded["b"] == [3, "1e3", "1e", "e3"]
+
+
 def test_eval_csvs_parse_with_a_csv_reader(config, tmp_path):
     thr = config.parent / "thr.yaml"
     thr.write_text(config.read_text().replace('"at_maturity"]', '"at_maturity", {threshold: [1.05, 1.05]}]'))
@@ -377,14 +407,14 @@ ONE_POLICY_YAML = SMALL_YAML.replace(
 )
 
 GOLDEN_RUNS = {
-    "solve_at_maturity": ("solve", AT_MATURITY_YAML, ["--plot-script"]),
-    "solve_full_size": ("solve", FULL_SIZE_YAML, ["--plot-script"]),
-    "boundary_at_maturity": ("boundary", AT_MATURITY_YAML, ["--plot-script"]),
-    "figure": ("figure", SMALL_YAML, ["--plot-script"]),
-    "gcheck_paths_dump": ("gcheck", SMALL_YAML, ["--paths-dump"]),
-    "eval_threshold": ("eval", SMALL_YAML, []),
-    "eval_one_policy": ("eval", ONE_POLICY_YAML, []),
-    "volterra": ("volterra", SMALL_YAML, []),
+    "solve_at_maturity": ("solve", AT_MATURITY_YAML),
+    "solve_full_size": ("solve", FULL_SIZE_YAML),
+    "boundary_at_maturity": ("boundary", AT_MATURITY_YAML),
+    "figure": ("figure", SMALL_YAML),
+    "gcheck": ("gcheck", SMALL_YAML),
+    "eval_threshold": ("eval", SMALL_YAML),
+    "eval_one_policy": ("eval", ONE_POLICY_YAML),
+    "volterra": ("volterra", SMALL_YAML),
 }
 
 GOLDEN_SHA256 = {
@@ -410,11 +440,10 @@ GOLDEN_SHA256 = {
         "run_manifest.txt": "6b0b3afc8c71ffd830017cfbb19a5f38374c8ad4f527761caadb4f19943ff199",
         "value_surface.csv": "6359b8f4ae1f45bc50a78476b6aae5611c00755bd2d8a00b6cd2a0bf599b8fb1",
     },
-    "gcheck_paths_dump": {
+    "gcheck": {
         "dgdx_surface.csv": "e0c880f62c2cd878e7f3918fc6487c100fc7f7a24ec453200d23a33fc8bc89a7",
         "gain_surface.csv": "d4bf4edef1939e29176a6fb7e3837dce987372295dee5f515bc696e67064df33",
         "gcheck.csv": "c5c85d2318fd6c71e0c97caa920b0d6d95031769a1e7df1376c17ab6a85f5594",
-        "paths.csv": "87d519921a1aec3b0e4af82e4a02f1791e592eaba77950cb73393260f1b8dab3",
         "run_manifest.txt": "51544248023d6c3fcc3933dd5bbf3d9a19071df57ac0ea43352578bcfceb47bd",
     },
     "solve_at_maturity": {
@@ -442,11 +471,11 @@ def output_hashes(case, tmp_path):
     """Run one golden case; return its exit code and {file name: sha256}."""
     import hashlib
 
-    sub, text, extra = GOLDEN_RUNS[case]
+    sub, text = GOLDEN_RUNS[case]
     cfg = tmp_path / f"{case}.yaml"
     cfg.write_text(text)
     out = tmp_path / case
-    rc = run_cli(sub, cfg, out, extra)
+    rc = run_cli(sub, cfg, out)
     return rc, {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
 
 
@@ -493,7 +522,7 @@ WRITER_CASES = {
         [[np.float64(t), SPECIAL[::-1] * s, SPECIAL * s] for t, s in ((-np.inf, 1.0), (np.nan, -1.0), (5e-324, 0.5))],
         [SPECIAL, np.arange(1, 7)],
     ),
-    # paths.csv's layout: an int lead, int and float keys, int16 states and bools.
+    # A per-path layout: an int lead, int and float keys, int16 states and bools.
     "big_ints_int16_bools": (
         ["p", "step", "t", "state", "flag", "big", "u"],
         [[p, np.array([1, 2, 3, 0, -4, 32767], dtype=np.int16), np.arange(6) % 2 == p, BIG * (1 - 2 * p),
@@ -536,7 +565,7 @@ def test_write_csv_matches_the_row_by_row_writer(case, tmp_path):
 )
 def test_plot_script_has_one_clause_per_regime_and_series(config, tmp_path, sub, gp, y_cols):
     out = tmp_path / sub
-    assert run_cli(sub, config, out, ["--plot-script"]) == 0
+    assert run_cli(sub, config, out) == 0
     text = (out / gp).read_text()
     assert text.count("plot ") == 1
     csv_name = gp[: -len(".gp")]

@@ -6,7 +6,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 import yaml
+from test_cli import SMALL_YAML
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -36,6 +38,17 @@ def test_readme_subcommand_table_lists_exactly_the_cli_commands():
     assert len(rows) == len(set(rows))
 
 
+@pytest.mark.parametrize("row", table_rows("subcommand"), ids=lambda row: row[0].strip("`"))
+def test_readme_subcommand_outputs_are_the_files_it_writes(tmp_path, row):
+    from ultmax import cli
+
+    cfg = tmp_path / "small.yaml"
+    cfg.write_text(SMALL_YAML)
+    out = tmp_path / "out"
+    assert cli.main([row[0].strip("`"), "--config", str(cfg), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(re.findall(r"`([^`]+)`", row[2]) + ["run_manifest.txt"])
+
+
 def test_readme_config_key_table_equals_config_keys():
     from ultmax import cli, pinned
 
@@ -59,8 +72,8 @@ def test_readme_usage_flags_appear_in_cli_help():
     synopsis = re.search(r"^```\n(ultmax <subcommand>.*?)^```", cli_section(), re.MULTILINE | re.DOTALL)
     assert synopsis is not None, "README's CLI section has no usage synopsis"
     flags = set(re.findall(r"--[a-z][a-z-]*", synopsis.group(1)))
-    assert {"--config", "--out", "--seed", "--threads"} <= flags
+    assert flags == {"--config", "--out", "--seed", "--threads"}
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run([sys.executable, "-m", "ultmax.cli", "--help"], capture_output=True, text=True, check=True,
                           env={**os.environ, "PYTHONPATH": src})
-    assert sorted(f for f in flags if f not in proc.stdout) == []
+    assert set(re.findall(r"--[a-z][a-z-]*", proc.stdout)) - {"--help"} == flags

@@ -34,6 +34,12 @@ def test_terminal_ratio_at_horizon_is_deterministic():
     assert estimate_J(FIG, FIG.T, 1.9, 1, 0, seed=1) == (1.9, 0.0)
 
 
+def test_terminal_ratio_past_the_horizon_is_refused():
+    # As g_monte_carlo does; simulating from t > T would give (nan, nan).
+    with pytest.raises(ValueError, match="must not exceed the horizon"):
+        estimate_J(FIG, FIG.T + 0.1, 1.9, 1, 100, seed=1)
+
+
 def test_golden_terminal_ratio_reproduces():
     est, se = estimate_J(SINGLE, 0.0, 1.0, 0, 1_000_000, seed=pinned.GOLDEN_SEED)
     gold, gold_se = pinned.GOLDEN_J_SINGLE
