@@ -150,12 +150,23 @@ CONFIG_KEYS = {
 _SECTIONS = {key.split(".")[0] for key in CONFIG_KEYS if "." in key}
 
 
+def _numbers(key: str, value) -> None:
+    """Refuse a model list entry, at any depth, that is no number (a bool, text, a mapping) or no double holds."""
+    for entry in value:
+        if isinstance(entry, list):
+            _numbers(key, entry)
+        elif isinstance(entry, bool) or not isinstance(entry, (int, float)):
+            raise ConfigError(f"{key}: entries must be numbers, got {type(entry).__name__}")
+        elif isinstance(entry, int) and abs(entry) > sys.float_info.max:
+            raise ConfigError(f"{key}: an integer entry is too large for a double")
+
+
 def _need(cfg: dict, path: str, kind, default, minimum):
     """The config value at ``path`` (``key``, or ``section.key`` of a mapping or null), checked.
 
     An absent or null key gives ``default``; without a default the key is
     required.  The value must be a ``kind``: a float key accepts integers and
-    must be finite; no numeric key accepts a bool.
+    must be finite; no numeric key accepts a bool; a model list holds numbers.
     """
     section, _, key = path.rpartition(".")
     val = (cfg.get(section) or {}).get(key) if section else cfg.get(key)
@@ -166,6 +177,10 @@ def _need(cfg: dict, path: str, kind, default, minimum):
     accepted = (int, float) if kind is float else kind
     if not isinstance(val, accepted) or (isinstance(val, bool) and kind is not bool):
         raise ConfigError(f"{path}: expected {kind.__name__}, got {type(val).__name__}")
+    if kind is list and section == "model":
+        _numbers(path, val)
+    if kind is float and isinstance(val, int) and abs(val) > sys.float_info.max:
+        raise ConfigError(f"{path}: an integer too large for a double")
     val = kind(val)
     if minimum is not None and not val >= minimum:  # nan fails too
         raise ConfigError(f"{path}: must be at least {minimum}, got {val}")

@@ -24,7 +24,7 @@ import numpy as np
 from .boundary import upper_set_start
 from .grids import Grid, Surface
 from .model import ValidatedModel
-from .paths import mean_se, moments, reduce_terminal
+from .paths import terminal_mean
 from .stepping import BackwardStepper
 
 __all__ = ["g_monte_carlo", "g_pde", "dG_dx", "lg", "h_level"]
@@ -47,19 +47,7 @@ def g_monte_carlo(
     default small n_steps just keeps the jump bookkeeping shallow.  At t = T
     the gain is x exactly and no paths are simulated.
     """
-    if x < 1.0:
-        raise ValueError("x must be at least 1")
-    if t > model.T:
-        raise ValueError("t must not exceed the horizon")
-    if t == model.T:
-        return float(x), 0.0
-
-    logx = np.log(x)
-
-    def block_stats(state, ylog, ymaxlog):
-        return moments(np.exp(np.maximum(logx, ymaxlog)))
-
-    return mean_se(reduce_terminal(model, t, j, n_paths, n_steps, seed, bridge_max, block_stats), n_paths)[0]
+    return terminal_mean(model, t, x, j, n_paths, seed, n_steps, bridge_max, ratio=False)
 
 
 def g_pde(model: ValidatedModel, grid: Grid) -> Surface:

@@ -102,8 +102,9 @@ def _step_jumps(rates, cdf, states, remaining, rng, buffers=None):
     """One vectorized jump proposal given precomputed rates and embedded CDF.
 
     Draws an exponential holding time for every chain; chains whose holding
-    time is not below ``remaining`` (absorbing ones: e / 0 is inf, or nan) do
-    not jump this round, and memorylessness makes resampling next round exact.
+    time is not below ``remaining`` (absorbing ones: e / 0 is inf, or nan; a
+    tiny rate's e / rate may overflow to inf) do not jump this round, and
+    memorylessness makes resampling next round exact.
     Targets are drawn only for the chains ``idx`` that jump, so the draw count
     depends on the data but remains a deterministic function of the seed.
     Returns (holding, jumped, idx, targets); ``buffers`` may hold the float
@@ -112,7 +113,7 @@ def _step_jumps(rates, cdf, states, remaining, rng, buffers=None):
     n = states.shape[0]
     holding, scratch, jumped = buffers or (np.empty(n), np.empty(n), np.empty(n, dtype=bool))
     rng.standard_exponential(out=holding)
-    with np.errstate(divide="ignore", invalid="ignore"):  # + 0.0 makes an absorbing -0.0 rate +0.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # + 0.0 makes an absorbing -0.0 rate +0.0
         np.divide(holding, (rates + 0.0).take(states, out=scratch, mode="clip"), out=holding)
     idx = np.flatnonzero(np.less(holding, remaining, out=jumped))
     targets = states[idx]

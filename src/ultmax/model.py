@@ -29,8 +29,10 @@ __all__ = [
 # strict, machine noise is far below this.
 ROW_SUM_TOL = 1e-12
 
-# The largest volatility whose square is a finite double.
+# The largest volatility whose square is a finite double, and the largest log
+# scale whose exponential is: |mu| T and sigma^2 T must not exceed the latter.
 SIGMA_MAX = float(np.sqrt(np.finfo(float).max))
+LOG_SCALE_MAX = float(np.log(np.finfo(float).max))
 
 
 class ModelError(ValueError):
@@ -111,7 +113,8 @@ def validate(model: RegimeModel) -> ValidatedModel:
     ------
     NonPositiveVolatility, BadGeneratorRow, NonPositiveHorizon
         on the corresponding violations; plain ValueError on shape mismatch,
-        a non-finite entry or a sigma whose square overflows.
+        a non-finite entry, a sigma whose square overflows, or a |mu| T or
+        sigma^2 T whose exponential overflows.
     """
     m = model.m
     if m < 1:
@@ -130,6 +133,11 @@ def validate(model: RegimeModel) -> ValidatedModel:
         raise ValueError(f"sigma[{bad}] = {model.sigma[bad]} is too large: its square overflows")
     if not np.isfinite(model.T) or model.T <= 0.0:
         raise NonPositiveHorizon(f"horizon must be positive, got {model.T}")
+    for name, scale in (("|mu[{}]|", np.abs(model.mu)), ("sigma[{}]^2", model.sigma**2)):
+        if np.any(scale > LOG_SCALE_MAX / model.T):  # the product itself may overflow
+            bad = int(np.argmax(scale > LOG_SCALE_MAX / model.T))
+            raise ValueError(f"{name.format(bad)} * horizon = {scale[bad]:g} * {model.T:g} exceeds "
+                             f"{LOG_SCALE_MAX:.6g}: its exponential overflows")
     if np.any(model.sigma <= 0.0):
         bad = int(np.argmax(model.sigma <= 0.0))
         raise NonPositiveVolatility(f"sigma[{bad}] = {model.sigma[bad]} is not positive")
@@ -138,6 +146,9 @@ def validate(model: RegimeModel) -> ValidatedModel:
     if np.any(off_diag < 0.0):
         i, j = np.unravel_index(int(np.argmin(off_diag)), model.Q.shape)
         raise BadGeneratorRow(f"negative off-diagonal rate Q[{i},{j}] = {model.Q[i, j]}")
+    if np.any(np.diag(model.Q) > 0.0):  # the row sum may pass ROW_SUM_TOL, but -q_jj is a negative rate
+        j = int(np.argmax(np.diag(model.Q) > 0.0))
+        raise BadGeneratorRow(f"positive diagonal rate Q[{j},{j}] = {model.Q[j, j]}")
     row_sums = model.Q.sum(axis=1)
     if np.any(np.abs(row_sums) > ROW_SUM_TOL):
         bad = int(np.argmax(np.abs(row_sums)))

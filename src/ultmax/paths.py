@@ -7,8 +7,9 @@ merged event time.  An optional Brownian-bridge draw adds the intra-segment
 maximum, which makes the law of the recorded running maximum exact over each
 frozen-regime segment (the default leaves it off, with O(sqrt(dt)) bias).
 
-The inner loop tracks log Y and log of the running max; consumers that need
-levels exponentiate once at the end.
+The inner loop tracks log Y and log of the running max.  A path started at
+ratio x0 >= 1 starts the max at log x0, so consumers read the ratio process
+X = max(x0, S) / Y as log X = log max - log Y and exponentiate once at the end.
 
 Randomness: every (block, step) pair gets its own generator derived from the
 root seed, so results do not depend on how blocks are scheduled, and the
@@ -41,6 +42,7 @@ __all__ = [
     "moments",
     "mean_se",
     "reduce_terminal",
+    "terminal_mean",
     "BLOCK_SIZE",
 ]
 
@@ -101,7 +103,7 @@ def _log_update(ylog, ymaxlog, coefficient, rng, bridge_max, z=None, u=None, wor
         np.maximum(ymaxlog, ylog, out=ymaxlog)
 
 
-def _advance_block(model, times, j0, n, seed, block_index, bridge_max, on_step=None):
+def _advance_block(model, times, j0, n, seed, block_index, bridge_max, on_step=None, x0=1.0):
     """Evolve one block of n paths; returns final (state, ylog, ymaxlog).
 
     ``on_step(k, state, ylog, ymaxlog)`` is invoked at k = 0 and after every
@@ -117,7 +119,7 @@ def _advance_block(model, times, j0, n, seed, block_index, bridge_max, on_step=N
     tables = {dt: _coefficients(mu, sigma, dt) for dt in np.unique(steps)}
 
     state = np.full(n, int(j0), dtype=np.intp)
-    ylog, ymaxlog = np.zeros((2, n))
+    ylog, ymaxlog = np.zeros(n), np.full(n, np.log(x0))
     z, u, work = np.empty((3, n))
     jumped = np.empty(n, dtype=bool)
     holding, idx = z, np.empty(0, dtype=np.intp)  # with Q = 0 no path ever jumps
@@ -161,8 +163,8 @@ def _advance_block(model, times, j0, n, seed, block_index, bridge_max, on_step=N
     return state, ylog, ymaxlog
 
 
-def map_blocks(model, times, j0, n_paths, seed, bridge_max, block):
-    """Simulate n_paths from regime j0 on ``times`` block by block.
+def map_blocks(model, times, j0, n_paths, seed, bridge_max, block, x0=1.0):
+    """Simulate n_paths from regime j0 and ratio x0 >= 1 on ``times`` block by block.
 
     The one owner of the block partition: block b holds paths
     [lo, lo + size) and draws from the streams of (seed, b, step).
@@ -176,7 +178,7 @@ def map_blocks(model, times, j0, n_paths, seed, bridge_max, block):
 
     def run(b):
         on_step, finish = block(b * BLOCK_SIZE, sizes[b])
-        return finish(*_advance_block(model, times, j0, sizes[b], seed, b, bridge_max, on_step))
+        return finish(*_advance_block(model, times, j0, sizes[b], seed, b, bridge_max, on_step, x0))
 
     with ThreadPoolExecutor(max_workers=max(1, min(threads, len(sizes)))) as pool:
         return list(pool.map(run, range(len(sizes))))
@@ -242,11 +244,31 @@ def reduce_terminal(
     bridge_max: bool,
     fn: Callable[[np.ndarray, np.ndarray, np.ndarray], object],
     t_end: float | None = None,
+    x0: float = 1.0,
 ):
     """Apply ``fn(state, log_y, log_ymax)`` to the final slice of each block.
 
-    Simulates on [t0, t_end] (the horizon by default).  Returns per-block
-    results in block order, as :func:`map_blocks` does.
+    Simulates from ratio x0 on [t0, t_end] (the horizon by default).  Returns
+    per-block results in block order, as :func:`map_blocks` does.
     """
     times = np.linspace(t0, model.T if t_end is None else t_end, n_steps + 1)
-    return map_blocks(model, times, j0, n_paths, seed, bridge_max, lambda lo, size: (None, fn))
+    return map_blocks(model, times, j0, n_paths, seed, bridge_max, lambda lo, size: (None, fn), x0)
+
+
+def terminal_mean(model, t, x, j, n_paths, seed, n_steps, bridge_max, ratio) -> tuple[float, float]:
+    """(mean, standard error) at the horizon of max(x, S), or with ``ratio`` of X = max(x, S) / Y.
+
+    S is the running maximum of Y from Y = 1 at time t, where paths start at
+    ratio x in regime j; at t = T no path is simulated.
+    """
+    if x < 1.0:
+        raise ValueError("x must be at least 1")
+    if t > model.T:
+        raise ValueError("t must not exceed the horizon")
+    if t == model.T:
+        return float(x), 0.0  # both are x itself, with zero variance
+
+    def stats(state, ylog, ymaxlog):
+        return moments(np.exp(ymaxlog - ylog if ratio else ymaxlog))
+
+    return mean_se(reduce_terminal(model, t, j, n_paths, n_steps, seed, bridge_max, stats, x0=x), n_paths)[0]

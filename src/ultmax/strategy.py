@@ -121,7 +121,7 @@ def _regret_means(model, policies, j0, n_paths, n_steps, seed, bridge_max):
 
         def on_step(k, state, ylog, ymaxlog):
             # Ratio process from x0 = 1 in log scale; info up to this step only.
-            np.subtract(np.maximum(0.0, ymaxlog, out=xlog), ylog, out=xlog)
+            np.subtract(ymaxlog, ylog, out=xlog)
             for p in range(P):
                 np.greater_equal(xlog, thresholds[p][k].take(state, out=level, mode="clip"), out=newly)
                 np.logical_and(newly, running[p], out=newly)

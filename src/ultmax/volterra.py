@@ -28,7 +28,7 @@ import numpy as np
 from .boundary import Boundary
 from .markov import derive_seed
 from .model import ValidatedModel
-from .paths import map_blocks, mean_se, moments, reduce_terminal
+from .paths import map_blocks, mean_se, moments, reduce_terminal, terminal_mean
 from .value import ValueSurfaces, discrete_generator_image
 
 __all__ = ["VolterraReport", "estimate_J", "estimate_K", "volterra_residual", "LVInterpolator"]
@@ -90,18 +90,7 @@ def estimate_J(
 
     At t = T the ratio is x itself with zero variance.
     """
-    if x < 1.0:
-        raise ValueError("x must be at least 1")
-    if t > model.T:
-        raise ValueError("t must not exceed the horizon")
-    if t == model.T:
-        return float(x), 0.0
-    logx = np.log(x)
-
-    def stats(state, ylog, ymaxlog):
-        return moments(np.exp(np.maximum(logx, ymaxlog) - ylog))
-
-    return mean_se(reduce_terminal(model, t, j, n_paths, n_steps, seed, bridge_max, stats), n_paths)[0]
+    return terminal_mean(model, t, x, j, n_paths, seed, n_steps, bridge_max, ratio=True)
 
 
 def estimate_K(
@@ -123,6 +112,8 @@ def estimate_K(
     is deterministic given the surfaces: LV(t, x, j) if x is past the
     boundary, else 0.
     """
+    if x < 1.0:
+        raise ValueError("x must be at least 1")
     if not t <= r <= model.T:
         raise ValueError("need t <= r <= horizon")
     lv = LVInterpolator(surfaces)
@@ -131,14 +122,13 @@ def estimate_K(
         val = float(lv(t, np.array([np.log(x)]), np.array([j]))[0]) if x > b_here[j] else 0.0
         return val, 0.0
 
-    logx = np.log(x)
     n_steps = max(1, int(round((r - t) / model.T * 64)))
 
     def stats(state, ylog, ymaxlog):
-        xlog = np.maximum(logx, ymaxlog) - ylog
+        xlog = ymaxlog - ylog
         return moments(lv(r, xlog, state) * (np.exp(xlog) > b_here[state]))
 
-    return mean_se(reduce_terminal(model, t, j, n_paths, n_steps, seed, bridge_max, stats, t_end=r), n_paths)[0]
+    return mean_se(reduce_terminal(model, t, j, n_paths, n_steps, seed, bridge_max, stats, t_end=r, x0=x), n_paths)[0]
 
 
 @dataclass
@@ -202,7 +192,6 @@ def volterra_residual(
                 weights[0] *= 0.5
                 weights[-1] *= 0.5
                 b_at = boundary.levels_at(times)
-                logb0 = np.log(b0)
 
                 def block(lo, size):
                     kint = np.zeros(size)
@@ -210,7 +199,7 @@ def volterra_residual(
                     n_over = np.zeros(1, dtype=np.int64)
 
                     def on_step(q, state, ylog, ymaxlog):
-                        np.subtract(np.maximum(logb0, ymaxlog, out=xlog), ylog, out=xlog)
+                        np.subtract(ymaxlog, ylog, out=xlog)
                         n_over[0] += np.count_nonzero(np.greater(xlog, grid.z_max, out=past))
                         vals = lv(times[q], xlog, state)
                         np.greater(np.exp(xlog, out=xlog), b_at[q].take(state, out=b_here, mode="clip"), out=past)
@@ -219,11 +208,11 @@ def volterra_residual(
                         np.add(kint, vals, out=kint)
 
                     def finish(state, ylog, ymaxlog):
-                        return moments(np.exp(np.maximum(logb0, ymaxlog) - ylog), kint), int(n_over[0])
+                        return moments(np.exp(ymaxlog - ylog), kint), int(n_over[0])
 
                     return on_step, finish
 
-                blocks = map_blocks(model, times, j, n_paths, derive_seed(seed, k, j), bridge_max, block)
+                blocks = map_blocks(model, times, j, n_paths, derive_seed(seed, k, j), bridge_max, block, b0)
                 (J_m, J_s), (K_m, K_s) = mean_se([stats for stats, _ in blocks], n_paths)
                 n_extrapolated += sum(count for _, count in blocks)
 

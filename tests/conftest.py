@@ -1,8 +1,19 @@
 """Shared pytest wiring: the acceptance gate's per-criterion verdict lines,
 the ratio-process oracle the path and policy tests share, and the boundary's
-sentinel mask the boundary tests share."""
+sentinel mask the boundary tests share.  Hypothesis draws the same examples
+on every run and keeps no example database."""
+
+import os
 
 import numpy as np
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
+
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
+# Without a database Hypothesis still caches, best effort, the literals it reads
+# from the source files; a home under /dev/null can hold no directory, so none is written.
+set_hypothesis_home_dir(os.devnull)
 
 criterion_lines: list[str] = []
 

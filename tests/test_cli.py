@@ -180,13 +180,14 @@ def test_too_coarse_time_grid_exits_3(config, tmp_path):
 
 
 def test_overflowing_lattice_coefficients_exit_3(config, tmp_path):
-    # sigma^2 is finite (a larger sigma is a config error), but over a tiny
-    # dz^2 the lattice coefficients overflow.  In a subprocess, because
-    # computing them warns and this suite turns RuntimeWarning into an error.
+    # sigma^2 T = 684.5 is below the bound on its exponential and dz^2 = 4e-308 is
+    # a normal double (both are config errors beyond that), but sigma^2 / dz^2
+    # overflows.  In a subprocess, because computing the lattice coefficients
+    # warns and this suite turns RuntimeWarning into an error.
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     big = config.parent / "big.yaml"
-    big.write_text(config.read_text().replace("sigma: [0.5, 0.3]", "sigma: [1e150, 0.3]")
-                   .replace("n_t: 60", "n_t: 60\n  z_max: 1.0e-100"))
+    big.write_text(config.read_text().replace("sigma: [0.5, 0.3]", "sigma: [37, 0.3]")
+                   .replace("n_t: 60", "n_t: 60\n  z_max: 2.38e-152"))
     out = tmp_path / "big"
     proc = subprocess.run([sys.executable, "-m", "ultmax.cli", "solve", "--config", str(big), "--out", str(out)],
                           capture_output=True, text=True, env=env)
@@ -264,19 +265,42 @@ def test_csv_number_format_is_12_significant_digits(config, tmp_path):
         ("eval", '"at_maturity"]', '"at_maturity", {threshold: [.nan, .nan]}]', "eval.policies"),
         ("eval", '"at_maturity"]', '"at_maturity", {threshold: [[1.05, 1.05], [1.05, 1.05]]}]', "eval.policies"),
         ("solve", "mu: [0.15, 0.05]", "mu: [[0.15], [0.05]]", "model: mu must be a flat list"),
+        ("solve", "mu: [0.15, 0.05]", "mu: [{a: 1}, 0.05]", "model.mu: entries must be numbers, got dict"),
+        ("solve", "mu: [0.15, 0.05]", "mu: [true, 0.05]", "model.mu: entries must be numbers, got bool"),
+        ("eval", "sigma: [0.5, 0.3]", 'sigma: [0.5, "0.3"]', "model.sigma: entries must be numbers, got str"),
+        ("figure", "[2.0, -2.0]]", "[2.0, {b: -2.0}]]", "model.q: entries must be numbers, got dict"),
+        ("solve", "mu: [0.15, 0.05]", "mu: [1e300, 0.05]", "model: |mu[0]| * horizon = 1e+300 * 0.5 exceeds"),
+        ("solve", "mu: [0.15, 0.05]\n  sigma: [0.5, 0.3]\n  q: [[-2.5, 2.5], [2.0, -2.0]]\n  horizon: 0.5\ngrid:\n",
+         "mu: [1e300, 0.05]\n  sigma: [0.5, 0.3]\n  q: [[-2.5, 2.5], [2.0, -2.0]]\n  horizon: 0.5\n"
+         "grid:\n  z_max: 2.0\n",
+         "model: |mu[0]| * horizon = 1e+300 * 0.5 exceeds"),
+        ("eval", "mu: [0.15, 0.05]\n  sigma: [0.5, 0.3]\n  q: [[-2.5, 2.5], [2.0, -2.0]]\n  horizon: 0.5\n",
+         "mu: [0.15]\n  sigma: [0.5]\n  q: [[0.0]]\n  horizon: 1e300\n",
+         "model: |mu[0]| * horizon = 0.15 * 1e+300 exceeds"),
+        ("solve", "sigma: [0.5, 0.3]", "sigma: [40, 0.3]", "model: sigma[0]^2 * horizon = 1600 * 0.5 exceeds"),
+        ("solve", "  n_t: 60", "  n_t: 60\n  z_max: 1e300", "grid.z_max: z_max = 1e+300 is too large"),
+        ("solve", "  n_t: 60", "  n_t: 60\n  z_max: 1e-300", "grid.z_max: z_max = 1e-300 is too small"),
+        ("solve", "mu: [0.15, 0.05]", "mu: [1" + "0" * 400 + ", 0.05]", "model.mu: an integer entry is too large for a double"),
+        ("eval", "horizon: 0.5", "horizon: 1" + "0" * 400, "model.horizon: an integer too large for a double"),
+        ("eval", "[[-2.5, 2.5],", "[[1e-300, 0.0],", "model: positive diagonal rate Q[0,0] = 1e-300"),
+        ("solve", "  n_x: 120", "  n_x: 4\n  z_max: 6.0", "grid.z_max: z_max = 6 over n_x - 1 = 3 steps"),
     ],
     ids=[
         "n_x_text", "report_every_0", "n_quad_0", "bridge_max_text", "threshold_count", "no_policies",
         "z_max_nan", "z_max_inf", "seed_negative", "tol_abs_nan", "eps_sign_nan", "sigma_square_overflows",
         "tol_abs_inf", "eps_sign_inf", "threshold_extra_key", "threshold_nan", "threshold_nested", "mu_nested",
+        "mu_dict", "mu_bool", "sigma_text", "q_dict", "mu_exp_overflows", "mu_exp_overflows_z_max_set",
+        "horizon_exp_overflows", "sigma_exp_overflows", "z_max_exp_overflows", "z_max_spacing_underflows",
+        "mu_huge_int", "horizon_huge_int", "q_positive_diagonal", "spacing_not_below_2",
     ],
 )
 def test_bad_config_value_exits_2_naming_the_key(config, tmp_path, capsys, sub, old, new, key):
     bad = config.parent / "badval.yaml"
     bad.write_text(config.read_text().replace(old, new))
     assert bad.read_text() != config.read_text()
-    assert run_cli(sub, bad, tmp_path / "badval") == 2
+    assert run_cli(sub, bad, tmp_path / "badval") == 2  # pytest.ini makes a RuntimeWarning an error
     assert key in capsys.readouterr().err
+    assert not (tmp_path / "badval").exists()
 
 
 @pytest.mark.parametrize(

@@ -81,6 +81,19 @@ def test_lift_to_x_trivial_cases():
         lift_to_x(bundle, 0.5)
 
 
+@pytest.mark.parametrize("bridge_max", [False, True])
+def test_start_ratio_is_the_lift_of_the_running_maximum_bitwise(bridge_max):
+    # Starting the log maximum at log x0 >= 0 gives max(log x0, log max from ratio 1) bit for bit,
+    # with the same log Y: a maximum is exact, so the engine's x0 replaces every consumer's lift.
+    def final(x0):
+        return reduce_terminal(FIG, 0.1, 1, 5_000, 12, 8, bridge_max, lambda st_, yl, ml: (yl, ml), x0=x0)
+
+    for (ylog, ymaxlog), (ylog_x, ymaxlog_x) in zip(final(1.0), final(1.7)):
+        assert np.array_equal(ylog_x, ylog)
+        assert np.array_equal(ymaxlog_x, np.maximum(np.log(1.7), ymaxlog))
+        assert np.any(ymaxlog_x > np.log(1.7)) and np.any(ymaxlog_x == np.log(1.7))
+
+
 def test_ratio_process_reflects_at_one():
     b = simulate_paths(FIG, 0.0, 0, 20_000, 80, seed=21, bridge_max=False)
     x = lift_to_x(b, 1.0)

@@ -3,7 +3,7 @@ import pytest
 
 from ultmax import pinned
 from ultmax.boundary import extract_boundary
-from ultmax.gain import dG_dx, g_pde, lg
+from ultmax.gain import dG_dx, g_monte_carlo, g_pde, lg
 from ultmax.grids import Grid
 from ultmax.model import validate
 from ultmax.value import solve_value
@@ -38,6 +38,18 @@ def test_terminal_ratio_past_the_horizon_is_refused():
     # As g_monte_carlo does; simulating from t > T would give (nan, nan).
     with pytest.raises(ValueError, match="must not exceed the horizon"):
         estimate_J(FIG, FIG.T + 0.1, 1.9, 1, 100, seed=1)
+
+
+@pytest.mark.parametrize("t, r", [(0.0, 0.2), (0.1, 0.1), (FIG.T, FIG.T)], ids=["simulated", "r_is_t", "t_is_T"])
+def test_ratio_below_one_is_refused_by_every_estimator(fig, t, r):
+    # The ratio process lives on [1, inf), and the path engine starts its maximum at log x.
+    grid, S, boundary = fig
+    with pytest.raises(ValueError, match="x must be at least 1"):
+        estimate_K(FIG, S, boundary, t, r, 0.5, 0, 100, seed=3)
+    with pytest.raises(ValueError, match="x must be at least 1"):
+        estimate_J(FIG, t, 0.5, 0, 100, seed=3)
+    with pytest.raises(ValueError, match="x must be at least 1"):
+        g_monte_carlo(FIG, t, 0.5, 0, 100, seed=3)
 
 
 def test_golden_terminal_ratio_reproduces():
