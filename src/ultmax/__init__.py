@@ -19,8 +19,7 @@ from .model import (
     validate,
 )
 from .grids import Grid, Surface, default_z_max, truncation_tail_bound
-from .markov import stationary_distribution, transition_matrix
-from .paths import PathBundle, simulate_paths
+from .markov import transition_matrix
 from .stepping import GridTooCoarse
 from .gain import dG_dx, g_monte_carlo, g_pde, h_level, lg
 from .value import (

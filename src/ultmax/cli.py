@@ -508,7 +508,7 @@ def run(subcommand: str, args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (GridTooCoarse, np.linalg.LinAlgError) as exc:
+    except (GridTooCoarse, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except (PropertyCheckFailure, NonMonotoneSlice) as exc:

@@ -2,8 +2,8 @@
 
 Transition kernels are computed by uniformization: exp(Q*dt) is written as a
 Poisson mixture of powers of the uniformized stochastic matrix, which is
-positivity-preserving and comes with an explicit truncation bound.  Path
-sampling is exact (exponential sojourns plus the embedded jump chain).
+positivity-preserving and comes with an explicit truncation bound.  The seeded
+streams are derived here; the path engine (:mod:`ultmax.paths`) samples jumps.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ import numpy as np
 
 __all__ = [
     "transition_matrix",
-    "stationary_distribution",
-    "embedded_jump_cdf",
     "derive_rng",
 ]
 
@@ -75,50 +73,3 @@ def transition_matrix(Q: np.ndarray, dt: float) -> np.ndarray:
     P = np.maximum(P, 0.0)
     P /= P.sum(axis=1, keepdims=True)
     return P
-
-
-def stationary_distribution(Q: np.ndarray) -> np.ndarray:
-    """Solve pi Q = 0 with pi summing to one (irreducible chains)."""
-    Q = np.asarray(Q, dtype=float)
-    m = Q.shape[0]
-    A = np.vstack([Q.T, np.ones(m)])
-    b = np.zeros(m + 1)
-    b[-1] = 1.0
-    pi, *_ = np.linalg.lstsq(A, b, rcond=None)
-    return pi
-
-
-def embedded_jump_cdf(Q) -> np.ndarray:
-    """Row-wise CDF of the embedded jump chain (zero rows for absorbing states)."""
-    probs = np.maximum(np.asarray(Q, dtype=float), 0.0)
-    np.fill_diagonal(probs, 0.0)
-    row_tot = probs.sum(axis=1, keepdims=True)
-    return np.cumsum(
-        np.divide(probs, row_tot, out=np.zeros_like(probs), where=row_tot > 0), axis=1
-    )
-
-
-def _step_jumps(rates, cdf, states, remaining, rng, buffers=None):
-    """One vectorized jump proposal given precomputed rates and embedded CDF.
-
-    Draws an exponential holding time for every chain; chains whose holding
-    time is not below ``remaining`` (absorbing ones: e / 0 is inf, or nan; a
-    tiny rate's e / rate may overflow to inf) do not jump this round, and
-    memorylessness makes resampling next round exact.
-    Targets are drawn only for the chains ``idx`` that jump, so the draw count
-    depends on the data but remains a deterministic function of the seed.
-    Returns (holding, jumped, idx, targets); ``buffers`` may hold the float
-    holding and scratch arrays and the bool mask.
-    """
-    n = states.shape[0]
-    holding, scratch, jumped = buffers or (np.empty(n), np.empty(n), np.empty(n, dtype=bool))
-    rng.standard_exponential(out=holding)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # + 0.0 makes an absorbing -0.0 rate +0.0
-        np.divide(holding, (rates + 0.0).take(states, out=scratch, mode="clip"), out=holding)
-    idx = np.flatnonzero(np.less(holding, remaining, out=jumped))
-    targets = states[idx]
-    if idx.size:
-        u = rng.random(out=scratch[: idx.size])
-        targets = (u[:, None] < cdf[targets]).argmax(axis=1).astype(states.dtype)
-    return holding, jumped, idx, targets
-

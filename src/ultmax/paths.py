@@ -1,11 +1,12 @@
 """Joint simulation of (regime, asset, running maximum) and the ratio process.
 
 Paths are advanced block by block on a uniform time grid.  Regime jumps
-inside a step are merged with the grid exactly: each frozen-regime segment
-gets an exact lognormal update, and the running maximum is refreshed at every
-merged event time.  An optional Brownian-bridge draw adds the intra-segment
-maximum, which makes the law of the recorded running maximum exact over each
-frozen-regime segment (the default leaves it off, with O(sqrt(dt)) bias).
+(exponential holding times, then the embedded jump chain) are sampled exactly
+and merged with the grid: each frozen-regime segment gets an exact lognormal
+update, and the running maximum is refreshed at every merged event time.  An
+optional Brownian-bridge draw adds the intra-segment maximum, which makes the
+law of the recorded running maximum exact over each frozen-regime segment
+(without it the maximum has O(sqrt(dt)) bias).
 
 The inner loop tracks log Y and log of the running max.  A path started at
 ratio x0 >= 1 starts the max at log x0, so consumers read the ratio process
@@ -27,17 +28,15 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .markov import _step_jumps, derive_rng, embedded_jump_cdf
+from .markov import derive_rng
 from .model import ValidatedModel
 
 __all__ = [
-    "PathBundle",
-    "simulate_paths",
+    "embedded_jump_cdf",
     "map_blocks",
     "moments",
     "mean_se",
@@ -58,16 +57,39 @@ _MAX_JUMP_ROUNDS = 100_000
 threads = len(os.sched_getaffinity(0))
 
 
-@dataclass(frozen=True)
-class PathBundle:
-    """Simulated block of paths on a uniform grid, Y normalized to 1 at t0."""
+def embedded_jump_cdf(Q) -> np.ndarray:
+    """Row-wise CDF of the embedded jump chain (zero rows for absorbing states)."""
+    probs = np.maximum(np.asarray(Q, dtype=float), 0.0)
+    np.fill_diagonal(probs, 0.0)
+    row_tot = probs.sum(axis=1, keepdims=True)
+    return np.cumsum(
+        np.divide(probs, row_tot, out=np.zeros_like(probs), where=row_tot > 0), axis=1
+    )
 
-    n_paths: int
-    n_steps: int
-    times: np.ndarray
-    states: np.ndarray   # (n_paths, n_steps + 1) regime indices
-    y: np.ndarray        # (n_paths, n_steps + 1) asset level, y[:, 0] = 1
-    ymax: np.ndarray     # (n_paths, n_steps + 1) running max of y from t0
+
+def _step_jumps(rates, cdf, states, remaining, rng, buffers=None):
+    """One vectorized jump proposal given precomputed rates and embedded CDF.
+
+    Draws an exponential holding time for every chain; chains whose holding
+    time is not below ``remaining`` (absorbing ones: e / 0 is inf, or nan; a
+    tiny rate's e / rate may overflow to inf) do not jump this round, and
+    memorylessness makes resampling next round exact.
+    Targets are drawn only for the chains ``idx`` that jump, so the draw count
+    depends on the data but remains a deterministic function of the seed.
+    Returns (holding, jumped, idx, targets); ``buffers`` may hold the float
+    holding and scratch arrays and the bool mask.
+    """
+    n = states.shape[0]
+    holding, scratch, jumped = buffers or (np.empty(n), np.empty(n), np.empty(n, dtype=bool))
+    rng.standard_exponential(out=holding)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # + 0.0 makes an absorbing -0.0 rate +0.0
+        np.divide(holding, (rates + 0.0).take(states, out=scratch, mode="clip"), out=holding)
+    idx = np.flatnonzero(np.less(holding, remaining, out=jumped))
+    targets = states[idx]
+    if idx.size:
+        u = rng.random(out=scratch[: idx.size])
+        targets = (u[:, None] < cdf[targets]).argmax(axis=1).astype(states.dtype)
+    return holding, jumped, idx, targets
 
 
 def _coefficients(mu, sigma, seg):
@@ -186,52 +208,22 @@ def map_blocks(model, times, j0, n_paths, seed, bridge_max, block, x0=1.0):
 
 def moments(*samples) -> np.ndarray:
     """One block's (sum, sum of squares) of each per-path sample array, for :func:`mean_se`."""
-    return np.array([(s.sum(), (s * s).sum()) for s in samples])
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum that overflows is refused by mean_se
+        return np.array([(s.sum(), (s * s).sum()) for s in samples])
 
 
 def mean_se(blocks, n) -> list[tuple[float, float]]:
-    """(mean, standard error) over n paths of each sample, from the blocks' :func:`moments` added in order."""
-    means = [(total / n, total_sq / n) for total, total_sq in sum(blocks)]
-    return [(float(mean), float(np.sqrt(max(sq - mean**2, 0.0) / n))) for mean, sq in means]
+    """(mean, standard error) over n paths of each sample, from the blocks' :func:`moments` added in order.
 
-
-def simulate_paths(
-    model: ValidatedModel,
-    t0: float,
-    j0: int,
-    n_paths: int,
-    n_steps: int,
-    seed,
-    bridge_max: bool = False,
-) -> PathBundle:
-    """Simulate n_paths of (regime, Y, running max) on [t0, T], Y_t0 = 1.
-
-    The regime path is sampled exactly; between merged event times Y gets the
-    exact frozen-regime lognormal update.  Deterministic given seed.
+    Raises FloatingPointError for a sample whose sum of squares or squared mean is not a finite double.
     """
-    if not t0 < model.T:
-        raise ValueError("t0 must be strictly before the horizon")
-    if n_steps < 1:
-        raise ValueError("n_steps must be at least 1")
-    times = np.linspace(t0, model.T, n_steps + 1)
-    states = np.empty((n_steps + 1, n_paths), dtype=np.int16)
-    y = np.empty((n_steps + 1, n_paths))
-    ymax = np.empty((n_steps + 1, n_paths))
-
-    def block(lo, size):
-        sl = slice(lo, lo + size)
-
-        def record(k, st, yl, ml):
-            states[k, sl] = st
-            y[k, sl] = yl
-            ymax[k, sl] = ml
-
-        return record, lambda *final: None
-
-    map_blocks(model, times, j0, n_paths, seed, bridge_max, block)
-    np.exp(y, out=y)
-    np.exp(ymax, out=ymax)
-    return PathBundle(n_paths, n_steps, times, states.T, y.T, ymax.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = [(total / n, total_sq / n, (total / n) ** 2) for total, total_sq in sum(blocks)]
+    for i, (_, sq, mean_sq) in enumerate(means):
+        if not (np.isfinite(sq) and np.isfinite(mean_sq)):
+            raise FloatingPointError(f"Monte Carlo sample {i + 1} of {len(means)} over {n} paths: "
+                                     "its sum of squares or squared mean overflows a double")
+    return [(float(mean), float(np.sqrt(max(sq - mean_sq, 0.0) / n))) for mean, sq, mean_sq in means]
 
 
 def reduce_terminal(

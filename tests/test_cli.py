@@ -3,6 +3,7 @@ import filecmp
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -195,6 +196,35 @@ def test_overflowing_lattice_coefficients_exit_3(config, tmp_path):
     assert "Traceback" not in proc.stderr
     assert "solver error: regime 1: lattice matrix" in proc.stderr
     assert not list(out.glob("*.csv"))
+
+
+OVERFLOW_YAML = """\
+model: {{mu: [{mu}], sigma: [{sigma}], q: [[0]], horizon: {horizon}}}
+grid: {{n_x: 12, n_t: 6, z_max: 10}}
+mc: {{n_paths: 3000, n_steps: 8, seed: 11}}
+eval: {{start_regime: 1, policies: ["boundary", "immediate", "at_maturity", {{threshold: [1.05]}}]}}
+volterra: {{n_quad: 4, report_every: 2}}
+"""
+
+
+@pytest.mark.parametrize(
+    "sub,scales",
+    [("eval", (0.1, 37, 0.5)), ("eval", (-700, 0.3, 1)), ("volterra", (-700, 0.3, 1))],
+    ids=["eval_sigma_37", "eval_mu_minus_700", "volterra_mu_minus_700"],
+)
+def test_overflowing_monte_carlo_moments_exit_3(tmp_path, capsys, sub, scales):
+    # Inside every config bound, yet some sample is above 1.3e154, so its square
+    # overflows: the run stops with a solver error and writes no file, where it
+    # wrote a nan standard error beside RuntimeWarnings.
+    cfg = tmp_path / "big.yaml"
+    cfg.write_text(OVERFLOW_YAML.format(**dict(zip(("mu", "sigma", "horizon"), scales))))
+    out = tmp_path / "big"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(sub, cfg, out) == 3
+    assert "solver error: Monte Carlo sample" in capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not list(out.iterdir())
 
 
 def test_property_failures_exit_4(config, tmp_path, monkeypatch):

@@ -7,8 +7,12 @@ menu value or each entry is valid or from the menu in turn.  At most three
 keys per config take a menu value and at most two are absent, and often none
 is, so many configs get past the checks and into the numerics.  Size keys are
 capped (``n_x`` <= 12, ``n_t`` <= 6, ``n_paths`` <= 200, ``n_steps`` <= 4,
-``n_quad`` <= 4): a large size is costly, not a fault.  Every run must exit
-0, 2, 3 or 4, with no exception and no RuntimeWarning.
+``n_quad`` <= 4): a large size is costly, not a fault.  When the volatilities
+and the horizon are both valid, half the configs make one volatility large,
+sigma^2 * T from 650 to 709 (the model refuses it above 709.78, the log of the
+largest double), with a ``z_max`` of at most 2 so that the grid spacing stays
+below 2: the squares of such a model's largest ratios overflow.  Every run
+must exit 0, 2, 3 or 4, with no exception and no RuntimeWarning.
 """
 
 import math
@@ -89,6 +93,11 @@ def configs(draw):
             value = draw(_menu(key) if key in bad else _valid(key, m))
         section, _, name = key.rpartition(".")
         (cfg.setdefault(section, {}) if section else cfg)[name] = value
+    if not {"model.sigma", "model.horizon"} & (bad | absent) and draw(st.booleans()):
+        model = cfg["model"]
+        model["sigma"][draw(st.integers(0, m - 1))] = math.sqrt(draw(st.floats(650.0, 709.0)) / model["horizon"])
+        if "grid.z_max" not in bad:
+            cfg.setdefault("grid", {})["z_max"] = draw(st.floats(0.05, 2.0))
     return cfg
 
 

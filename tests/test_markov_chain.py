@@ -5,13 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ultmax.markov import (
-    _step_jumps,
-    derive_rng,
-    embedded_jump_cdf,
-    stationary_distribution,
-    transition_matrix,
-)
+from conftest import stationary_distribution
+
+from ultmax.markov import derive_rng, transition_matrix
+from ultmax.paths import _step_jumps, embedded_jump_cdf
 
 FIG_Q = np.array([[-2.5, 2.5], [2.0, -2.0]])
 

@@ -13,12 +13,14 @@ import hashlib
 import numpy as np
 import pytest
 
+from conftest import simulate_paths
+
 from ultmax import pinned
 from ultmax.boundary import extract_boundary
 from ultmax.gain import g_monte_carlo, g_pde
 from ultmax.grids import Grid
 from ultmax.model import RegimeModel, validate
-from ultmax.paths import BLOCK_SIZE, simulate_paths
+from ultmax.paths import BLOCK_SIZE
 from ultmax.strategy import Policy, compare_policies
 from ultmax.value import solve_value
 from ultmax.volterra import estimate_J, estimate_K, volterra_residual

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
-from conftest import lift_to_x
+from conftest import PathBundle, lift_to_x, simulate_paths
 
 from ultmax.model import RegimeModel, validate
-from ultmax.paths import BLOCK_SIZE, PathBundle, reduce_terminal, simulate_paths
+from ultmax.markov import derive_rng
+from ultmax.paths import BLOCK_SIZE, _step_jumps, embedded_jump_cdf, mean_se, moments, reduce_terminal
 
 FIG = validate(RegimeModel(mu=[0.15, 0.05], sigma=[0.5, 0.3], Q=[[-2.5, 2.5], [2.0, -2.0]], T=0.5))
 SINGLE = validate(RegimeModel(mu=[0.05], sigma=[0.3], Q=[[0.0]], T=1.0))
@@ -129,3 +131,52 @@ def test_partial_blocks_match_full_blocks_prefixwise():
     c = simulate_paths(FIG, 0.0, 0, 70_000, 10, seed=3)
     assert np.array_equal(a.ymax, c.ymax)
     assert a.y.shape == (70_000, 11)
+
+
+def test_mean_se_adds_blocks_in_order_and_refuses_an_overflow():
+    a, b = np.array([1.0, 2.0, 4.0]), np.array([0.5, -3.0])
+    (mean, se), = mean_se([moments(a), moments(b)], 5)
+    assert mean == 4.5 / 5
+    assert se == np.sqrt(max((21.0 + 9.25) / 5 - (4.5 / 5) ** 2, 0.0) / 5)
+    # The named sample's square overflows in its block (negative samples too), or
+    # only once the blocks are added, or its mean squares past the largest double.
+    with pytest.raises(FloatingPointError, match="sample 2 of 2 over 3 paths"):
+        mean_se([moments(a, np.array([1.0, -1e200, 1.0]))], 3)
+    with pytest.raises(FloatingPointError, match="sample 1 of 1 over 2 paths"):
+        mean_se([moments(np.array([1e154])), moments(np.array([1e154]))], 2)
+    with pytest.raises(FloatingPointError, match="sample 1 of 1 over 1 paths"):
+        mean_se([np.array([[1.5e154, 1e308]])], 1)
+
+
+@st.composite
+def generators(draw):
+    """A generator of 1-4 regimes whose off-diagonal rates are 0 or in [0.01, 20]; some rows absorb."""
+    m = draw(st.integers(1, 4))
+    rates = [[draw(st.just(0.0) | st.floats(0.01, 20.0)) if i != j else 0.0 for j in range(m)] for i in range(m)]
+    return np.array([[-sum(row) if i == j else r for j, r in enumerate(row)] for i, row in enumerate(rates)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    Q=generators(),
+    picks=st.lists(st.integers(0, 3), min_size=1, max_size=40),
+    remaining=st.floats(0.0, 2.0),
+    seed=st.integers(0, 2**32),
+)
+def test_step_jumps_over_random_generators(Q, picks, remaining, seed):
+    m = Q.shape[0]
+    states = np.array(picks, dtype=np.intp) % m
+    left = np.linspace(remaining, 0.0, states.size)  # a time left per chain, zero included
+    rng = derive_rng(seed, 1)
+    holding, jumped, idx, targets = _step_jumps(-np.diag(Q), embedded_jump_cdf(Q), states, left, rng)
+    absorbing = np.diag(Q)[states] == 0.0
+    assert np.all((holding >= 0.0) | (absorbing & np.isnan(holding)))
+    assert np.array_equal(jumped, holding < left) and np.array_equal(idx, np.flatnonzero(jumped))
+    assert not jumped[absorbing].any()
+    assert np.all(targets != states[idx]) and np.all(Q[states[idx], targets] > 0.0)
+    # One exponential per chain, then one uniform per chain that jumps: the
+    # draws a seed makes follow from the seed and the chains alone.
+    replay = derive_rng(seed, 1)
+    replay.standard_exponential(states.size)
+    replay.random(idx.size)
+    assert np.array_equal(rng.random(4), replay.random(4))

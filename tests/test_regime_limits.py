@@ -11,11 +11,12 @@ Two limits tie the m-regime solver to single-regime GBM problems:
 
 import numpy as np
 
+from conftest import stationary_distribution
+
 from ultmax import pinned
 from ultmax.boundary import extract_boundary
 from ultmax.gain import g_pde
 from ultmax.grids import Grid
-from ultmax.markov import stationary_distribution
 from ultmax.model import RegimeModel, classify, validate
 from ultmax.value import solve_value
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import lift_to_x
+from conftest import lift_to_x, simulate_paths
 
 import ultmax.paths
 from ultmax import pinned
@@ -10,7 +10,6 @@ from ultmax.gain import g_pde
 from ultmax.grids import Grid
 from ultmax.markov import derive_rng
 from ultmax.model import RegimeModel, validate
-from ultmax.paths import simulate_paths
 from ultmax.strategy import Policy, compare_policies
 from ultmax.value import solve_value
 from ultmax.volterra import estimate_J

@@ -9,6 +9,8 @@ import time
 import numpy as np
 import pytest
 
+from conftest import simulate_paths
+
 from ultmax import paths, pinned
 from ultmax.boundary import extract_boundary
 from ultmax.gain import g_pde
@@ -68,7 +70,7 @@ def test_block_results_come_back_in_block_order(monkeypatch):
 
 
 def test_simulated_paths_do_not_depend_on_threads(monkeypatch):
-    one, two = at_threads(monkeypatch, lambda: paths.simulate_paths(FIG, 0.0, 1, N_PATHS, 8, seed=61, bridge_max=True))
+    one, two = at_threads(monkeypatch, lambda: simulate_paths(FIG, 0.0, 1, N_PATHS, 8, seed=61, bridge_max=True))
     assert np.array_equal(one.states, two.states)
     assert np.array_equal(one.y, two.y)
     assert np.array_equal(one.ymax, two.ymax)
@@ -79,7 +81,7 @@ def test_absorbing_three_regime_paths_do_not_depend_on_threads(monkeypatch, brid
     # Each block steps through its own scratch arrays; two blocks at once must
     # not see each other's draws, holding times or jump subsets.
     one, two = at_threads(
-        monkeypatch, lambda: paths.simulate_paths(M3_ABSORBING, 0.0, 2, N_PATHS, 10, seed=64, bridge_max=bridge_max)
+        monkeypatch, lambda: simulate_paths(M3_ABSORBING, 0.0, 2, N_PATHS, 10, seed=64, bridge_max=bridge_max)
     )
     assert np.array_equal(one.states, two.states)
     assert np.array_equal(one.y, two.y)
