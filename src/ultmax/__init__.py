@@ -22,15 +22,7 @@ from .grids import Grid, Surface, default_z_max, truncation_tail_bound
 from .markov import transition_matrix
 from .stepping import GridTooCoarse
 from .gain import dG_dx, g_monte_carlo, g_pde, h_level, lg
-from .value import (
-    ValueSurfaces,
-    check_F_monotone_t,
-    check_normal_reflection,
-    check_smooth_fit,
-    containment_violations,
-    discrete_generator_image,
-    solve_value,
-)
+from .value import ValueSurfaces, discrete_generator_image, solve_value
 from .boundary import Boundary, NonMonotoneSlice, check_boundary_monotone, extract_boundary
 from .volterra import VolterraReport, estimate_J, estimate_K, volterra_residual
 from .strategy import Policy, RegretEstimate, compare_policies

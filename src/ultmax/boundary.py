@@ -40,7 +40,6 @@ class Boundary:
     b_raw: np.ndarray       # (n_t + 1, m); +inf sentinel
     b_smoothed: np.ndarray  # same shape
     node_index: np.ndarray  # (n_t + 1, m) first stopping node; -1 for sentinel
-    tol_abs: float
     grid: Grid
 
     def levels_at(self, times) -> np.ndarray:
@@ -103,7 +102,7 @@ def extract_boundary(surfaces, tol_abs: float) -> Boundary:
                 b_raw[k, j] = float(np.exp(grid.z[i_min - 1] + frac * grid.dz))
 
     b_smoothed = np.column_stack([_median3(b_raw[:, j]) for j in range(m)])
-    return Boundary(b_raw, b_smoothed, node_index, float(tol_abs), grid)
+    return Boundary(b_raw, b_smoothed, node_index, grid)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import os
 import re
 import sys
 from itertools import chain
@@ -213,6 +212,25 @@ def read_config(cfg: dict, subcommand: str, overrides: dict) -> dict:
 class _ConfigLoader(yaml.SafeLoader):
     """The safe loader, also reading ``1e-3`` and ``1.0e300`` as floats (YAML 1.1 wants a dot and an exponent sign)."""
 
+    def construct_mapping(self, node, deep=False):
+        """Refuse a key written twice in one mapping; keys a ``<<`` merge brings in still yield to written ones."""
+        if isinstance(node, yaml.MappingNode):
+            seen = set()
+            for key_node, _ in node.value:
+                if key_node.tag == "tag:yaml.org,2002:merge":
+                    continue
+                key = self.construct_object(key_node, deep=deep)
+                try:
+                    repeated = key in seen
+                except TypeError:
+                    continue  # unhashable: the base constructor refuses it
+                if repeated:
+                    raise yaml.constructor.ConstructorError(
+                        "while constructing a mapping", node.start_mark, f"found duplicate key {key!r}", key_node.start_mark
+                    )
+                seen.add(key)
+        return super().construct_mapping(node, deep)
+
 
 _EXPONENT_FLOAT = re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$")
 _ConfigLoader.add_implicit_resolver("tag:yaml.org,2002:float", _EXPONENT_FLOAT, list("-+.0123456789"))
@@ -224,6 +242,9 @@ def load_config(path: str) -> tuple[dict, str]:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"cannot read config file {path}: not UTF-8 at line {line} (byte offset {exc.start})") from exc
     try:
         cfg = yaml.load(text, _ConfigLoader)
     except yaml.YAMLError as exc:
@@ -539,7 +560,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="output directory (overrides config `outputs`)")
     parser.add_argument("--seed", type=_at_least(0), default=None, help="override the config seed")
     parser.add_argument(
-        "--threads", type=_at_least(1), default=len(os.sched_getaffinity(0)),
+        "--threads", type=_at_least(1), default=paths.threads,
         help="worker threads for Monte Carlo blocks (default: the available cores; outputs do not depend on it)",
     )
     args = parser.parse_args(argv)

@@ -52,8 +52,8 @@ BLOCK_SIZE = 1 << 16
 
 _MAX_JUMP_ROUNDS = 100_000
 
-# Worker threads for map_blocks: the available cores unless the CLI's
-# --threads sets it.  No result depends on it.
+# Worker threads for map_blocks: the available cores (the CLI's --threads
+# default) unless --threads sets it.  No result depends on it.
 threads = len(os.sched_getaffinity(0))
 
 

@@ -1,8 +1,10 @@
 """Shared pytest wiring: the acceptance gate's per-criterion verdict lines,
 the path recorder and ratio-process oracle the path and policy tests share,
-the stationary law the regime-limit test reads, and the boundary's sentinel
-mask the boundary tests share.  Hypothesis draws the same examples on every
-run and keeps no example database."""
+the stationary law the regime-limit test reads, the boundary's sentinel
+mask the boundary tests share, and the structural checks of a solved value
+surface that the value-solver tests and acceptance criteria 7-10 read.
+Hypothesis draws the same examples on every run and keeps no example
+database."""
 
 import os
 from dataclasses import dataclass
@@ -11,7 +13,11 @@ import numpy as np
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from ultmax.boundary import Boundary
+from ultmax.grids import Surface
+from ultmax.model import NotApplicable
 from ultmax.paths import map_blocks
+from ultmax.value import ValueSurfaces
 
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
@@ -69,6 +75,97 @@ def lift_to_x(bundle, x0: float) -> np.ndarray:
 def is_sentinel(boundary) -> np.ndarray:
     """Where a ``Boundary`` holds the +inf sentinel: no stopping node in the slice."""
     return ~np.isfinite(boundary.b_raw)
+
+
+# How well a solved surface honors the structural facts the solution must
+# satisfy: smooth fit across the stopping boundary, normal reflection at the
+# edge, monotonicity of F = V - G in time for nonnegative drifts, and strict
+# containment of {LG < 0} in the continuation region.
+
+@dataclass(frozen=True)
+class SlopeReport:
+    """Worst-case one-sided derivative diagnostics per (time, regime)."""
+
+    mismatch: np.ndarray  # (n_t + 1, m); NaN where not measurable
+    max_mismatch: float
+    n_measured: int
+
+
+def check_smooth_fit(surfaces: ValueSurfaces, boundary: Boundary) -> SlopeReport:
+    """One-sided dV/dy from below vs above the extracted boundary.
+
+    Measured only where the boundary is strictly inside the grid with room
+    for a two-node stencil on each side.  The mismatch of a C^1 surface
+    shrinks linearly with the spatial step.
+    """
+    grid = surfaces.grid
+    v = surfaces.V.values
+    x = grid.x
+    n_t1, m = grid.n_t + 1, grid.m
+    mism = np.full((n_t1, m), np.nan)
+    for j in range(m):
+        for k in range(n_t1):
+            i = int(boundary.node_index[k, j])
+            if i < 2 or i > grid.n_x - 2:
+                continue
+            below = (v[k, i - 1, j] - v[k, i - 2, j]) / (x[i - 1] - x[i - 2])
+            above = (v[k, i + 1, j] - v[k, i, j]) / (x[i + 1] - x[i])
+            mism[k, j] = abs(below - above)
+    measured = np.isfinite(mism)
+    max_m = float(np.nanmax(mism)) if measured.any() else 0.0
+    return SlopeReport(mism, max_m, int(measured.sum()))
+
+
+def check_normal_reflection(surfaces: ValueSurfaces) -> SlopeReport:
+    """|dV/dy| at the reflecting edge y = 1, for interior times only.
+
+    The terminal slice is excluded: V(T, y) = y forces slope one there, and
+    the scheme enforces the edge condition for strictly interior steps.
+    """
+    grid = surfaces.grid
+    v = surfaces.V.values
+    dx0 = grid.x[1] - grid.x[0]
+    slopes = np.abs(v[:-1, 1, :] - v[:-1, 0, :]) / dx0
+    mism = np.full((grid.n_t + 1, grid.m), np.nan)
+    mism[:-1] = slopes
+    return SlopeReport(mism, float(slopes.max()), int(slopes.size))
+
+
+@dataclass(frozen=True)
+class MonotoneReport:
+    worst_decrease: float
+    n_violations: int
+    tol: float
+
+
+def check_F_monotone_t(surfaces: ValueSurfaces, tol: float | None = None) -> MonotoneReport:
+    """Assert F is nondecreasing in time, node by node.
+
+    Only meaningful when every drift is nonnegative; refuses otherwise.
+    Default tolerance is 1e-6 of the largest gap magnitude.
+    """
+    if np.any(surfaces.model.mu < 0.0):
+        raise NotApplicable("F monotonicity requires all drifts nonnegative")
+    f = surfaces.F.values
+    if tol is None:
+        tol = 1e-6 * float(np.max(np.abs(f)))
+    dec = f[:-1] - f[1:]
+    return MonotoneReport(float(dec.max()), int(np.sum(dec > tol)), float(tol))
+
+
+def containment_violations(surfaces: ValueSurfaces, surface_lg: Surface, eps_sign: float) -> np.ndarray:
+    """Interior-time nodes where LG < -eps_sign yet the node stops (F >= 0).
+
+    A decidedly negative generator image of the gain marks the continuation
+    region.  The projection makes V == G bitwise on the stopping set, so the
+    continuation set is exactly {F < 0}; a detection band on F would test a
+    stronger claim, since F tends to zero continuously toward the boundary
+    and the horizon.  Returns the boolean violation mask over (time node <
+    n_t, z node, regime).
+    """
+    lg_v = surface_lg.values[:-1]
+    f = surfaces.F.values[:-1]
+    return (lg_v < -eps_sign) & (f >= 0.0)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -17,7 +17,14 @@ import time
 import numpy as np
 import pytest
 
-from conftest import criterion_lines, is_sentinel
+from conftest import (
+    check_F_monotone_t,
+    check_normal_reflection,
+    check_smooth_fit,
+    containment_violations,
+    criterion_lines,
+    is_sentinel,
+)
 
 from ultmax import cli, pinned
 from ultmax.boundary import check_boundary_monotone, extract_boundary
@@ -26,13 +33,7 @@ from ultmax.grids import Grid
 from ultmax.markov import derive_seed
 from ultmax.model import validate
 from ultmax.strategy import Policy, compare_policies
-from ultmax.value import (
-    check_F_monotone_t,
-    check_normal_reflection,
-    check_smooth_fit,
-    containment_violations,
-    solve_value,
-)
+from ultmax.value import solve_value
 from ultmax.volterra import volterra_residual
 
 pytestmark = pytest.mark.acceptance

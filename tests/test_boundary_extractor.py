@@ -63,7 +63,7 @@ def test_monotone_report_across_sentinels():
     # sentinel -> finite falls (not finite moves) and finite moves.
     grid = Grid.for_model(FIG, n_x=12, n_t=5)
     levels = np.array([[np.inf, np.inf], [np.inf, 1.3], [1.2, np.inf], [np.inf, 1.25], [1.1, 1.1], [1.0, 1.0]])
-    b = Boundary(levels, levels, np.zeros(levels.shape, dtype=int), 0.0, grid)
+    b = Boundary(levels, levels, np.zeros(levels.shape, dtype=int), grid)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         rep = check_boundary_monotone(b, FIG)

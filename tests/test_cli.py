@@ -351,6 +351,43 @@ def test_unknown_key_exits_2_naming_it_before_any_output(config, tmp_path, capsy
     assert not (tmp_path / "unknown").exists()
 
 
+def test_config_not_utf8_exits_2_naming_the_byte(config, tmp_path, capsys):
+    bad = config.parent / "latin1.yaml"
+    bad.write_bytes(b"# caf\xe9\n" + config.read_bytes())
+    assert run_cli("solve", bad, tmp_path / "latin1") == 2
+    assert capsys.readouterr().err == f"config error: cannot read config file {bad}: not UTF-8 at line 1 (byte offset 5)\n"
+    assert not (tmp_path / "latin1").exists()
+
+
+@pytest.mark.parametrize(
+    "old, new, where, key",
+    [
+        ("  horizon: 0.5\n", "  horizon: 0.5\n  mu: [-0.2, -0.1]\n", "line 6, column 3", "mu"),
+        ("model:\n  mu: [0.15, 0.05]\n  sigma: [0.5, 0.3]\n  q: [[-2.5, 2.5], [2.0, -2.0]]\n  horizon: 0.5\n",
+         "model: {mu: [0.15, 0.05], sigma: [0.5, 0.3], q: [[-2.5, 2.5], [2.0, -2.0]], horizon: 0.5, mu: [-0.2, -0.1]}\n",
+         "line 1, column 91", "mu"),
+        ("volterra:\n", "model:\n  mu: [-0.2, -0.1]\nvolterra:\n", "line 16, column 1", "model"),
+    ],
+    ids=["block_key", "flow_key", "second_section"],
+)
+def test_repeated_config_key_exits_2_at_its_line(config, tmp_path, capsys, old, new, where, key):
+    bad = config.parent / "repeated.yaml"
+    bad.write_text(config.read_text().replace(old, new))
+    assert bad.read_text() != config.read_text()
+    assert run_cli("eval", bad, tmp_path / "repeated") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config parse error at {where}: ")
+    assert f"found duplicate key '{key}'" in err
+    assert not (tmp_path / "repeated").exists()
+
+
+def test_merged_config_keys_yield_to_written_ones(tmp_path):
+    path = tmp_path / "merge.yaml"
+    path.write_text("base: &base {n_x: 120, n_t: 60}\ngrid:\n  <<: *base\n  n_t: 30\n")
+    cfg, _ = cli.load_config(path)
+    assert cfg["grid"] == {"n_x": 120, "n_t": 30}
+
+
 def test_shipped_config_reads_for_every_subcommand():
     cfg, _ = cli.load_config(Path(__file__).resolve().parents[1] / "configs" / "two_state_positive_drift.yaml")
     for sub in cli.COMMANDS:
