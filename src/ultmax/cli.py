@@ -297,6 +297,10 @@ class RunInputs:
             self.grid = Grid.for_model(self.model, n_x=s["grid.n_x"], n_t=n_t, z_max=s["grid.z_max"])
         except ValueError as exc:  # n_x and n_t are checked above, so it is z_max
             raise ConfigError(f"grid.z_max: {exc}") from exc
+        x_probe = max(x for _, x, _ in pinned.PROBE_POINTS)
+        if subcommand == "gcheck" and self.grid.z_max < np.log(x_probe):  # np.interp would clamp at z_max
+            raise ConfigError(f"grid.z_max: z_max = {self.grid.z_max:g} is too small for gcheck: its probe level "
+                              f"x = {x_probe:g} needs at least log {x_probe:g} = {float(np.log(x_probe))!r}")
         self.seed = s["mc.seed"] or 0  # a subcommand that simulates nothing may have none
         self.mc = dict(n_paths=s["mc.n_paths"], n_steps=s["mc.n_steps"], seed=self.seed, bridge_max=s["mc.bridge_max"])
         if subcommand == "eval":

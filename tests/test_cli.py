@@ -381,6 +381,26 @@ def test_repeated_config_key_exits_2_at_its_line(config, tmp_path, capsys, old, 
     assert not (tmp_path / "repeated").exists()
 
 
+def test_gcheck_grid_below_its_largest_probe_exits_2(tmp_path, capsys):
+    # The figure model at small volatilities has a default z_max of 0.771 <
+    # log 3, where np.interp would read the lattice at e^{z_max} for x = 3.
+    cfg = tmp_path / "narrow.yaml"
+    cfg.write_text(
+        "model: {mu: [0.15, 0.05], sigma: [0.05, 0.04], q: [[-2.5, 2.5], [2.0, -2.0]], horizon: 0.1}\n"
+        "grid: {n_x: 60, n_t: 40}\nmc: {n_paths: 20000, seed: 3}\n"
+    )
+    assert run_cli("gcheck", cfg, tmp_path / "narrow") == 2
+    assert capsys.readouterr().err == ("config error: grid.z_max: z_max = 0.771268 is too small for gcheck: "
+                                       "its probe level x = 3 needs at least log 3 = 1.0986122886681098\n")
+    assert not (tmp_path / "narrow").exists()
+    loaded, _ = cli.load_config(cfg)
+    loaded["grid"]["z_max"] = 1.0986122886681098
+    assert cli.RunInputs(loaded, "gcheck", {}).grid.z_max == np.log(3.0)
+    loaded["grid"]["z_max"] = np.nextafter(np.log(3.0), 0.0)
+    with pytest.raises(cli.ConfigError, match="too small for gcheck"):
+        cli.RunInputs(loaded, "gcheck", {})
+
+
 def test_merged_config_keys_yield_to_written_ones(tmp_path):
     path = tmp_path / "merge.yaml"
     path.write_text("base: &base {n_x: 120, n_t: 60}\ngrid:\n  <<: *base\n  n_t: 30\n")

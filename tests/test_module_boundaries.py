@@ -1,15 +1,19 @@
-"""No library module imports another module's private name, and every
-exported name has a reader at run time.
+"""No library module imports another module's private name or a package
+outside the run-time dependencies, and every exported name has a reader at
+run time.
 
 A private name (one leading underscore; a dunder such as ``__version__`` is
 public) belongs to its module: code that needs it from elsewhere belongs
 beside it.  A name in a module's ``__all__`` that no library code reads is
-API nobody runs: it belongs in the tests that use it, or nowhere.  Both
-checks read the source with ``ast``, so they cover every module in
-``src/ultmax`` whether or not it is imported.
+API nobody runs: it belongs in the tests that use it, or nowhere.  An
+import that is not relative names the standard library, numpy or PyYAML,
+so no test-only package reaches the run path.  All three checks read the
+source with ``ast``, so they cover every module in ``src/ultmax`` whether
+or not it is imported.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import ultmax
@@ -32,6 +36,32 @@ def test_no_module_imports_a_private_name_of_another():
     found = {path.name: private_imports(path) for path in sorted(SRC.glob("*.py"))}
     assert len(found) > 10
     assert {name: names for name, names in found.items() if names} == {}
+
+
+# The run path's only third-party packages: SciPy, mpmath and Hypothesis are
+# test dependencies and must not come back into the library.
+RUN_TIME_PACKAGES = {"numpy", "yaml"}
+
+
+def foreign_imports(path):
+    """Each absolute import in the file at ``path`` of neither the standard library nor a run-time package."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [name for name in modules
+                  if name.split(".")[0] not in sys.stdlib_module_names | RUN_TIME_PACKAGES]
+    return found
+
+
+def test_library_imports_only_relative_stdlib_numpy_and_yaml():
+    found = {path.name: foreign_imports(path) for path in sorted(SRC.glob("*.py"))}
+    assert len(found) > 10
+    assert {name: modules for name, modules in found.items() if modules} == {}
 
 
 # Exported without a library reader on purpose: the goldens in pinned.py are

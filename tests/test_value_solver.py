@@ -239,6 +239,11 @@ def test_lattice_properties_over_random_models(case):
     assert G.min() >= 1.0 and V.min() >= 1.0 and np.all(V <= G)
     again = solve_value(model, grid, g_pde(model, grid))
     assert (again.V.values.tobytes(), again.G.values.tobytes()) == (V.tobytes(), G.tobytes())
-    assert np.all(np.abs(np.log(extract_boundary(S, tol_abs=0.0).b_raw[-1])) <= grid.dz)
+    b_raw = extract_boundary(S, tol_abs=0.0).b_raw
+    assert np.all(np.abs(np.log(b_raw[-1])) <= grid.dz)
+    F = S.F.values
+    assert V[F == 0.0].tobytes() == G[F == 0.0].tobytes()
+    if np.all(model.mu <= 0.0):  # classify's immediate family: about a quarter of the solved examples
+        assert np.all(F == 0.0) and np.all(b_raw == 1.0)
     if np.all(model.mu >= 0.0):
         assert check_F_monotone_t(S).n_violations == 0
