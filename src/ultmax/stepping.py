@@ -6,10 +6,17 @@ and reaction coefficients.  Each step applies the regime-coupling semigroup
 exp(Q dt) exactly (uniformization), then an implicit Euler step of the
 per-regime spatial operator, so every solve is tridiagonal.
 
-Each regime's matrix is constant, so it is factored once by LAPACK dgtsv's
-own elimination, row interchanges included (they depend on the matrix alone);
-a step replays dgtsv's forward and back substitution in Python floats, in its
-operation order, so every solution is bit-identical to dgtsv's.
+Each regime's matrix is constant, so it is factored once, in Python, by LAPACK
+dgtsv's own elimination, row interchanges included (they depend on the matrix
+alone).  A step hands those factors to LAPACK dgttrs, whose forward and back
+substitution are dgtsv's, in the OpenBLAS that numpy's wheel already loads,
+through ``ctypes``; where that library or its symbol is missing, a Python
+replay of the same substitution, in the same operation order, takes its place.
+Both give every solution bit-identical to dgtsv's.
+
+A step refuses a grid whose time step is too coarse for it (``GridTooCoarse``):
+the split coupling needs max |q_jj| dt <= 1/2, and each implicit row, which
+sums to 1 - dt r, needs dt r < 1 for every reaction r.
 
 Boundary rows are built by ghost-node elimination: a reflecting edge
 (u_z = 0) at z = 0, and zero curvature in the price variable at z_max
@@ -20,20 +27,56 @@ u ~ e^z and drags the top of the grid down by O(1).
 
 from __future__ import annotations
 
+import ctypes
+import math
+from functools import cache
+from pathlib import Path
+
 import numpy as np
 
 from .grids import Grid
 from .model import ValidatedModel
 from .markov import transition_matrix
 
-__all__ = ["BackwardStepper", "GridTooCoarse", "Tridiagonal", "COUPLING_DT_LIMIT"]
+__all__ = ["BackwardStepper", "GridTooCoarse", "Tridiagonal", "COUPLING_DT_LIMIT", "REACTION_DT_LIMIT"]
 
 # Splitting accuracy guard on the regime-coupling magnitude per step.
 COUPLING_DT_LIMIT = 0.5
+# dt * r must stay below this for every reaction r: each implicit row sums to 1 - dt * r.
+REACTION_DT_LIMIT = 1.0
+
+# LAPACK dgttrs with 64-bit integers, as numpy's wheel bundles it in its OpenBLAS.
+_DGTTRS = "scipy_dgttrs_64_"
 
 
 class GridTooCoarse(ValueError):
-    """Raised when the time step is too large for the split-step coupling."""
+    """Raised when the time step is too large for the stepper.
+
+    That is when max |q_jj| * dt exceeds ``COUPLING_DT_LIMIT`` (the split-step
+    coupling), or when dt * r reaches ``REACTION_DT_LIMIT`` for a reaction r
+    (the implicit row's sum 1 - dt * r is then no longer positive, and the
+    step no longer keeps a positive solution positive).
+    """
+
+
+def _find_dgttrs(libs: Path):
+    """``dgttrs`` from an ILP64 OpenBLAS in the directory ``libs``, or None where none there exports it."""
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            routine = getattr(ctypes.CDLL(str(path)), _DGTTRS)
+        except (OSError, AttributeError):
+            continue
+        # trans, n, nrhs, dl, d, du, du2, ipiv, b, ldb, info, then the hidden length of trans.
+        routine.argtypes = [ctypes.c_char_p, *[ctypes.c_void_p] * 10, ctypes.c_size_t]
+        routine.restype = None
+        return routine
+    return None
+
+
+@cache
+def _dgttrs():
+    """numpy's own ``dgttrs``, looked up on first use, or None."""
+    return _find_dgttrs(Path(np.__file__).resolve().parent.parent / "numpy.libs")
 
 
 class Tridiagonal:
@@ -42,38 +85,66 @@ class Tridiagonal:
     ``lo``, ``d`` and ``up`` are its sub-, main and super-diagonal (n - 1, n
     and n - 1 entries).  Raises ``np.linalg.LinAlgError`` for a zero pivot
     ("singular matrix") and for an entry or elimination result that is not
-    finite.
+    finite.  ``solve`` runs LAPACK dgttrs on the factors, or a Python replay
+    of it where numpy bundles no ``dgttrs``; both give dgtsv's bits.
     """
 
     def __init__(self, lo, d, up):
-        lo, d, up = (np.array(a, dtype=float) for a in (lo, d, up))
-        n = d.shape[0]
-        fact, swap = np.zeros(n - 1), [False] * (n - 1)
-        fill = np.zeros(n)  # the second superdiagonal that interchanges create
-        with np.errstate(all="ignore"):  # non-finite results are refused below
-            for i in range(n - 1):
-                if abs(d[i]) >= abs(lo[i]):
-                    if d[i] == 0.0:
-                        raise np.linalg.LinAlgError("singular matrix")
-                    fact[i] = lo[i] / d[i]
-                    d[i + 1] = d[i + 1] - fact[i] * up[i]
-                else:  # interchange rows i and i + 1
-                    swap[i] = True
-                    fact[i] = d[i] / lo[i]
-                    d[i], d[i + 1], up[i] = lo[i], up[i] - fact[i] * d[i + 1], d[i + 1]
-                    if i + 2 < n:
-                        fill[i], up[i + 1] = up[i + 1], -fact[i] * up[i + 1]
+        # Python floats: the same IEEE operations as numpy's scalars, several times faster.
+        lo, d, up = (np.array(a, dtype=float).tolist() for a in (lo, d, up))
+        n = len(d)
+        fact, swap = [0.0] * (n - 1), [False] * (n - 1)
+        fill = [0.0] * n  # the second superdiagonal that interchanges create
+        for i in range(n - 1):
+            if abs(d[i]) >= abs(lo[i]):
+                if d[i] == 0.0:
+                    raise np.linalg.LinAlgError("singular matrix")
+                fact[i] = lo[i] / d[i]
+                d[i + 1] = d[i + 1] - fact[i] * up[i]
+            else:  # interchange rows i and i + 1
+                swap[i] = True
+                fact[i] = d[i] / lo[i]
+                d[i], d[i + 1], up[i] = lo[i], up[i] - fact[i] * d[i + 1], d[i + 1]
+                if i + 2 < n:
+                    fill[i], up[i + 1] = up[i + 1], -fact[i] * up[i + 1]
         if d[-1] == 0.0:
             raise np.linalg.LinAlgError("singular matrix")
-        if not all(np.isfinite(a).all() for a in (fact, d, up, fill)):
+        if not all(map(math.isfinite, [*fact, *d, *up, *fill])):
             raise np.linalg.LinAlgError("not finite after elimination (the coefficients overflow)")
-        self._forward = fact.tolist(), swap
-        # Rows n - 1 .. 0, the last two padded with zero superdiagonal terms:
-        # subtracting 0.0 * 0.0 = +0.0 leaves every float as it was, -0.0 too.
-        self._backward = d[::-1].tolist(), [0.0, *up[::-1].tolist()], fill[::-1].tolist()
+        self.n = n
+        routine = _dgttrs()
+        if routine is None:
+            self._dgttrs = None
+            self._forward = fact, swap
+            # Rows n - 1 .. 0, the last two padded with zero superdiagonal terms:
+            # subtracting 0.0 * 0.0 = +0.0 leaves every float as it was, -0.0 too.
+            self._backward = d[::-1], [0.0, *up[::-1]], fill[::-1]
+            return
+        # dgttrs's 1-based pivots: row i + 1 was swapped with row i + 2 or with itself.
+        ipiv = np.arange(1, n + 1, dtype=np.int64)
+        ipiv[:-1] += swap
+        self._factors = *map(np.array, (fact, d, up, fill)), ipiv  # what the pointers below point into
+        order = ctypes.byref(ctypes.c_int64(n))
+        self._column = ctypes.c_double * n
+        self._dgttrs = (routine, (b"N", order, ctypes.byref(ctypes.c_int64(1)),
+                                  *(ctypes.c_void_p(a.ctypes.data) for a in self._factors)), order)
 
-    def solve(self, rhs: list) -> list:
-        """The solution for the right-hand side ``rhs``, a list of floats."""
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """Overwrite ``b``, the caller's contiguous float64 right-hand side of n entries, with the solution; return it."""
+        if b.shape != (self.n,) or b.dtype != np.float64 or not (b.flags.c_contiguous and b.flags.writeable):
+            raise ValueError(f"the right-hand side must be a writable contiguous float64 array of {self.n} entries")
+        if self._dgttrs is None:
+            b[:] = self._replay(b.tolist())
+            return b
+        routine, head, order = self._dgttrs
+        info = ctypes.c_int64()
+        routine(*head, self._column.from_buffer(b), order, ctypes.byref(info), 1)
+        if info.value:
+            raise np.linalg.LinAlgError(f"{_DGTTRS} returned info = {info.value}")
+        return b
+
+    def _replay(self, rhs: list) -> list:
+        """dgttrs's forward and back substitution in Python floats, in its operation order."""
         x, out = rhs[0], []
         for f, swapped, y in zip(*self._forward, rhs[1:]):
             if swapped:
@@ -105,6 +176,13 @@ class BackwardStepper:
         self.m = model.m
         self.advection = np.asarray(advection, dtype=float)
         self.reaction = np.asarray(reaction, dtype=float)
+        j = int(np.argmax(self.reaction))
+        reacting = float(self.reaction[j]) * grid.dt
+        if reacting >= REACTION_DT_LIMIT:
+            raise GridTooCoarse(
+                f"regime {j + 1}: dt * reaction = {reacting:.3g} is not below {REACTION_DT_LIMIT}, so the "
+                "implicit rows' sum 1 - dt * reaction is not positive; refine the time grid"
+            )
         self.diffusion = 0.5 * model.sigma**2
         self.coupling = transition_matrix(model.Q, grid.dt)
 
@@ -132,11 +210,10 @@ class BackwardStepper:
 
     def step(self, values: np.ndarray) -> np.ndarray:
         """Map the (n_x, m) slice at t_{k+1} to the slice at t_k."""
-        coupled = values @ self.coupling.T
-        out = np.empty_like(values)
-        for j, column in enumerate(coupled.T.tolist()):
-            out[:, j] = self._solvers[j].solve(column)
-        return out
+        columns = (values @ self.coupling.T).T.copy()  # one contiguous right-hand side per regime
+        for solver, column in zip(self._solvers, columns):
+            solver.solve(column)
+        return columns.T
 
     def apply_spatial(self, values: np.ndarray) -> np.ndarray:
         """Discrete per-regime spatial operator (no time or Q terms).

@@ -1,4 +1,5 @@
 """Shared pytest wiring: the acceptance gate's per-criterion verdict lines,
+the fixture that puts the lattice's tridiagonal solve on its Python replay,
 the path recorder and ratio-process oracle the path and policy tests share,
 the stationary law the regime-limit test reads, the boundary's sentinel
 mask the boundary tests share, and the structural checks of a solved value
@@ -10,9 +11,11 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from ultmax import stepping
 from ultmax.boundary import Boundary
 from ultmax.grids import Surface
 from ultmax.model import NotApplicable
@@ -26,6 +29,12 @@ settings.load_profile("deterministic")
 set_hypothesis_home_dir(os.devnull)
 
 criterion_lines: list[str] = []
+
+
+@pytest.fixture
+def python_replay(monkeypatch):
+    """Every ``Tridiagonal`` built in the test solves by its Python replay: the cached dgttrs lookup finds none."""
+    monkeypatch.setattr(stepping, "_dgttrs", lambda: None)
 
 
 @dataclass(frozen=True)

@@ -180,6 +180,20 @@ def test_too_coarse_time_grid_exits_3(config, tmp_path):
     assert run_cli("solve", coarse, tmp_path / "coarse") == 3
 
 
+def test_reaction_past_the_time_step_exits_3(config, tmp_path, capsys):
+    # dt * mu = 0.025 * 100 = 2.5: the gain's implicit rows sum to 1 - dt * mu < 0,
+    # where the run exited 0 with G(0, 1, 1) = -1.32e14.
+    fast = config.parent / "fast.yaml"
+    fast.write_text(config.read_text().replace("mu: [0.15, 0.05]", "mu: [100.0, 0.05]")
+                    .replace("n_x: 120", "n_x: 30").replace("n_t: 60", "n_t: 20"))
+    out = tmp_path / "fast"
+    assert run_cli("solve", fast, out) == 3
+    assert capsys.readouterr().err == (
+        "solver error: regime 1: dt * reaction = 2.5 is not below 1.0, so the implicit rows' sum "
+        "1 - dt * reaction is not positive; refine the time grid\n")
+    assert not list(out.iterdir())
+
+
 def test_overflowing_lattice_coefficients_exit_3(config, tmp_path):
     # sigma^2 T = 684.5 is below the bound on its exponential and dz^2 = 4e-308 is
     # a normal double (both are config errors beyond that), but sigma^2 / dz^2
@@ -595,6 +609,11 @@ def test_output_bytes_match_golden_hashes(case, tmp_path):
     rc, hashes = output_hashes(case, tmp_path)
     assert rc == 0
     assert hashes == GOLDEN_SHA256[case]
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_RUNS))
+def test_output_bytes_match_golden_hashes_on_the_python_replay(case, tmp_path, python_replay):
+    test_output_bytes_match_golden_hashes(case, tmp_path)
 
 
 def row_by_row_csv(header, blocks, keys=()):

@@ -7,7 +7,8 @@ public) belongs to its module: code that needs it from elsewhere belongs
 beside it.  A name in a module's ``__all__`` that no library code reads is
 API nobody runs: it belongs in the tests that use it, or nowhere.  An
 import that is not relative names the standard library, numpy or PyYAML,
-so no test-only package reaches the run path.  All three checks read the
+so no test-only package reaches the run path, and only the stepper calls
+foreign code through ``ctypes``.  All four checks read the
 source with ``ast``, so they cover every module in ``src/ultmax`` whether
 or not it is imported.
 """
@@ -43,25 +44,38 @@ def test_no_module_imports_a_private_name_of_another():
 RUN_TIME_PACKAGES = {"numpy", "yaml"}
 
 
-def foreign_imports(path):
-    """Each absolute import in the file at ``path`` of neither the standard library nor a run-time package."""
+def absolute_imports(path):
+    """The name of each module the file at ``path`` imports absolutely."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
-            modules = [alias.name for alias in node.names]
+            found += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            modules = [node.module]
-        else:
-            continue
-        found += [name for name in modules
-                  if name.split(".")[0] not in sys.stdlib_module_names | RUN_TIME_PACKAGES]
+            found.append(node.module)
     return found
+
+
+def foreign_imports(path):
+    """Each absolute import in the file at ``path`` of neither the standard library nor a run-time package."""
+    return [name for name in absolute_imports(path)
+            if name.split(".")[0] not in sys.stdlib_module_names | RUN_TIME_PACKAGES]
 
 
 def test_library_imports_only_relative_stdlib_numpy_and_yaml():
     found = {path.name: foreign_imports(path) for path in sorted(SRC.glob("*.py"))}
     assert len(found) > 10
     assert {name: modules for name, modules in found.items() if modules} == {}
+
+
+# The one module that calls foreign code: the name of numpy's bundled dgttrs
+# and the ``ctypes`` call into it stay behind it.
+CTYPES_MODULE = "stepping.py"
+
+
+def test_only_the_stepper_imports_ctypes():
+    importers = sorted(path.name for path in SRC.glob("*.py")
+                       if any(name.split(".")[0] == "ctypes" for name in absolute_imports(path)))
+    assert importers == [CTYPES_MODULE]
 
 
 # Exported without a library reader on purpose: the goldens in pinned.py are

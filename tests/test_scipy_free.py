@@ -3,11 +3,19 @@ bit, and its truncation tail bound matches SciPy and mpmath to rounding.
 
 SciPy is a test dependency only: here it is the oracle for the lattice's
 tridiagonal solve (``scipy.linalg.solve_banded``, LAPACK dgtsv), which fixes
-every lattice bit.  The tail bound is computed with the standard library's
-``math.erfc`` and written only to the run manifest, so it is held to a
-relative accuracy, not to SciPy's bits: its oracles are
-``scipy.special.log_ndtr`` and ``ndtr`` at pinned models, and 60-digit
-mpmath at those models and at random ones on both sides of its branch.
+every lattice bit.  ``Tridiagonal`` factors each matrix by dgtsv's
+elimination in Python and solves by LAPACK dgttrs in the OpenBLAS that
+numpy's wheel bundles, or, where numpy bundles none, by a Python replay of
+dgttrs.  Each solve test runs on both paths: the ``python_replay`` fixture
+forces the replay by patching the cached dgttrs lookup, and
+``test_numpy_wheel_exports_dgttrs`` fails if the lookup finds nothing here,
+so the default path is dgttrs.
+
+The tail bound is computed with the standard library's ``math.erfc`` and
+written only to the run manifest, so it is held to a relative accuracy, not
+to SciPy's bits: its oracles are ``scipy.special.log_ndtr`` and ``ndtr`` at
+pinned models, and 60-digit mpmath at those models and at random ones on
+both sides of its branch.
 """
 
 import json
@@ -54,10 +62,14 @@ def test_random_systems_match_solve_banded():
             ab[1] += 3.0 * np.sign(ab[1])
         rhs = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
         expected = solve_banded((1, 1), ab, rhs)
-        assert same_bits(Tridiagonal(ab[2, :-1], ab[1], ab[0, 1:]).solve(rhs.tolist()), expected), (trial, n)
+        assert same_bits(Tridiagonal(ab[2, :-1], ab[1], ab[0, 1:]).solve(rhs.copy()), expected), (trial, n)
 
 
-@pytest.mark.parametrize(
+def test_random_systems_match_solve_banded_on_the_python_replay(python_replay):
+    test_random_systems_match_solve_banded()
+
+
+INTERCHANGES = pytest.mark.parametrize(
     "upper, diag, lower",
     [
         ([1.0, -2.0, 0.5], [0.1, 3.0, 0.2, 1.5], [4.0, 0.3, 2.5]),  # interchange at rows 0 and 2
@@ -66,12 +78,48 @@ def test_random_systems_match_solve_banded():
     ],
     ids=["rows_0_and_2", "zero_diagonal", "last_row"],
 )
+
+
+@INTERCHANGES
 def test_row_interchanges_match_solve_banded(upper, diag, lower):
     # dgtsv swaps rows i and i+1 when |d_i| < |l_i| at that point of the
     # elimination; each matrix here is built to take that branch.
     ab = banded(upper, diag, lower)
     for rhs in ([1.0, -2.0, 3.0, 0.25][: len(diag)], [0.0, -0.0, 1e-300, -7.0][: len(diag)]):
-        assert same_bits(Tridiagonal(lower, diag, upper).solve(list(rhs)), solve_banded((1, 1), ab, rhs))
+        got = Tridiagonal(lower, diag, upper).solve(np.array(rhs))
+        assert same_bits(got, solve_banded((1, 1), ab, rhs))
+
+
+@INTERCHANGES
+def test_row_interchanges_match_solve_banded_on_the_python_replay(upper, diag, lower, python_replay):
+    test_row_interchanges_match_solve_banded(upper, diag, lower)
+
+
+def test_solve_refuses_a_right_hand_side_it_cannot_overwrite():
+    # dgttrs writes n doubles where the array's data starts: anything else is refused first.
+    solver = Tridiagonal([1.0], [4.0, 4.0], [1.0])
+    for rhs in (np.ones(3), np.ones(2, dtype=np.float32), np.ones(4)[::2], np.ones((2, 1))):
+        with pytest.raises(ValueError, match="writable contiguous float64 array of 2 entries"):
+            solver.solve(rhs)
+
+
+def test_numpy_wheel_exports_dgttrs():
+    # Without it every lattice runs on the Python replay: the same bits, each solve about 10x slower.
+    routine = stepping._dgttrs()
+    assert routine is not None and routine.__name__ == "scipy_dgttrs_64_"
+    assert Tridiagonal([1.0], [4.0, 4.0], [1.0])._dgttrs[0] is routine
+
+
+def test_dgttrs_lookup_finds_nothing_without_raising(tmp_path):
+    import _ctypes
+
+    assert stepping._find_dgttrs(tmp_path) is None  # no library
+    assert stepping._find_dgttrs(tmp_path / "missing") is None  # no directory
+    (tmp_path / "libscipy_openblas64_-0.so").write_bytes(b"not a shared library")  # OSError
+    assert stepping._find_dgttrs(tmp_path) is None
+    # A shared library, but not OpenBLAS: AttributeError.
+    (tmp_path / "libscipy_openblas64_-1.so").write_bytes(Path(_ctypes.__file__).read_bytes())
+    assert stepping._find_dgttrs(tmp_path) is None
 
 
 @pytest.mark.parametrize(
@@ -138,6 +186,10 @@ def test_stepper_matches_solve_banded_on_random_models(monkeypatch):
             expected = np.column_stack([solve_banded((1, 1), ab, coupled[:, j]) for j, ab in enumerate(matrices)])
             values = stepper.step(values)
             assert same_bits(values, expected), (trial, m, n_x, n_t)
+
+
+def test_stepper_matches_solve_banded_on_random_models_on_the_python_replay(monkeypatch, python_replay):
+    test_stepper_matches_solve_banded_on_random_models(monkeypatch)
 
 
 GUARD = """

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import check_F_monotone_t, check_normal_reflection, check_smooth_fit, containment_violations
 
@@ -9,7 +9,7 @@ from ultmax.boundary import extract_boundary
 from ultmax.gain import dG_dx, g_pde, lg
 from ultmax.grids import Grid
 from ultmax.model import NotApplicable, RegimeModel, validate
-from ultmax.stepping import COUPLING_DT_LIMIT, GridTooCoarse
+from ultmax.stepping import COUPLING_DT_LIMIT, REACTION_DT_LIMIT, GridTooCoarse
 from ultmax.value import ValueSurfaces, discrete_generator_image, solve_value
 
 FIG = validate(pinned.make_model(pinned.FIGURE_MODEL))
@@ -220,8 +220,13 @@ def lattice_cases(draw):
 # Known counterexample to the last assertion, which these 100 examples do not
 # reach and 400 do: mu (0.5, 0.6875), sigma (0.7, 0.75), Q = 0, T = 0.75 on
 # 12 x 4, where F decreases in t at the top node of regime 1 (gone at 24 x 4).
+# The drawn time steps keep dt * mu below 1/2; the explicit examples put the
+# gain's reaction mu at the bound dt * mu < 1 (dt = 1) and just inside it.
 @settings(max_examples=100, deadline=None)
 @given(case=lattice_cases())
+@example(case=(validate(RegimeModel([1.0], [1.0], [[0.0]], 2.0)), 20, 2))
+@example(case=(validate(RegimeModel([0.2, 1.0], [0.8, 1.0], [[-0.1, 0.1], [0.0, 0.0]], 2.0)), 20, 2))
+@example(case=(validate(RegimeModel([0.95, -0.2], [1.0, 0.8], [[0.0, 0.0], [0.2, -0.2]], 2.0)), 20, 2))
 def test_lattice_properties_over_random_models(case):
     model, n_x, n_t = case
     grid = Grid.for_model(model, n_x=n_x, n_t=n_t)
@@ -229,10 +234,15 @@ def test_lattice_properties_over_random_models(case):
     # stepper's cell Peclet number |a| dz / (2 D), with D = sigma^2 / 2, is at most 1.
     for advection in (-(model.mu + 0.5 * model.sigma**2), 0.5 * model.sigma**2 - model.mu):
         assume(np.all(np.abs(advection) * grid.dz <= model.sigma**2))
-    if float(np.max(model.jump_rates())) * grid.dt > COUPLING_DT_LIMIT:
-        for build in (g_pde, ValueSurfaces.value_stepper):
+    coarse = float(np.max(model.jump_rates())) * grid.dt > COUPLING_DT_LIMIT
+    if coarse or grid.dt * float(np.max(model.mu)) >= REACTION_DT_LIMIT:  # the gain's reaction is mu
+        with pytest.raises(GridTooCoarse):
+            g_pde(model, grid)
+        if coarse:
             with pytest.raises(GridTooCoarse):
-                build(model, grid)
+                ValueSurfaces.value_stepper(model, grid)
+        else:  # the value step has no reaction
+            ValueSurfaces.value_stepper(model, grid)
         return
     S = solve_value(model, grid, g_pde(model, grid))
     V, G = S.V.values, S.G.values
