@@ -24,7 +24,7 @@ from .stepping import GridTooCoarse
 from .gain import dG_dx, g_monte_carlo, g_pde, h_level, lg
 from .value import ValueSurfaces, discrete_generator_image, solve_value
 from .boundary import Boundary, NonMonotoneSlice, check_boundary_monotone, extract_boundary
-from .volterra import VolterraReport, estimate_J, estimate_K, volterra_residual
+from .volterra import VolterraReport, volterra_residual
 from .strategy import Policy, RegretEstimate, compare_policies
 
 __version__ = "0.1.0"

@@ -25,9 +25,9 @@ from .boundary import upper_set_start
 from .grids import Grid, Surface
 from .model import ValidatedModel
 from .paths import terminal_mean
-from .stepping import BackwardStepper
+from .stepping import BackwardStepper, Stencil
 
-__all__ = ["g_monte_carlo", "g_pde", "dG_dx", "lg", "h_level"]
+__all__ = ["g_monte_carlo", "gain_stencil", "g_pde", "dG_dx", "lg", "h_level"]
 
 
 def g_monte_carlo(
@@ -50,14 +50,14 @@ def g_monte_carlo(
     return terminal_mean(model, t, x, j, n_paths, seed, n_steps, bridge_max, ratio=False)
 
 
+def gain_stencil(model: ValidatedModel, grid: Grid) -> Stencil:
+    """The gain's spatial operator: advection -(mu + sigma^2/2), reaction mu."""
+    return Stencil(model, grid, advection=-(model.mu + 0.5 * model.sigma**2), reaction=model.mu)
+
+
 def g_pde(model: ValidatedModel, grid: Grid) -> Surface:
     """Backward finite-difference solve of the gain surface on the grid."""
-    stepper = BackwardStepper(
-        model,
-        grid,
-        advection=-(model.mu + 0.5 * model.sigma**2),
-        reaction=model.mu,
-    )
+    stepper = BackwardStepper(model, gain_stencil(model, grid))
     values = np.empty((grid.n_t + 1, grid.n_x, grid.m))
     values[-1] = grid.x[:, None]
     for k in range(grid.n_t - 1, -1, -1):

@@ -105,7 +105,8 @@ def probe_points(model: RegimeModel):
 # ---------------------------------------------------------------------------
 # Golden Monte Carlo values (one million paths, bridge maximum on, seed
 # 20260808, recorded at first build).  A same-seed rerun must reproduce them
-# bitwise; independent reruns must land inside the confidence band.
+# bitwise; independent reruns must land inside the confidence band.  J and K
+# are what the tests' estimate_J and estimate_K (tests/conftest.py) give.
 # ---------------------------------------------------------------------------
 
 GOLDEN_SEED = 20260808

@@ -1,10 +1,12 @@
 """Shared one-step backward kernel for the coupled parabolic systems.
 
-Both lattice solvers march u_t + 1/2 sigma^2 u_zz + a u_z + r u + Q-coupling = 0
-backward in time on the log grid; they differ only in the per-regime advection
-and reaction coefficients.  Each step applies the regime-coupling semigroup
-exp(Q dt) exactly (uniformization), then an implicit Euler step of the
-per-regime spatial operator, so every solve is tridiagonal.
+Both lattice solvers march u_t + L u + Q-coupling = 0 backward in time on the
+log grid, L u = D u_zz + a u_z + r u with D = sigma^2 / 2 per regime; they
+differ only in a and r.  One ``Stencil`` holds L on a grid, edge rows
+included: the implicit step factors its rows of I - dt L, and the generator
+image applies it.  Each step applies the regime-coupling semigroup exp(Q dt)
+exactly (uniformization), then an implicit Euler step of L, so every solve is
+tridiagonal.
 
 Each regime's matrix is constant, so it is factored once, in Python, by LAPACK
 dgtsv's own elimination, row interchanges included (they depend on the matrix
@@ -15,13 +17,15 @@ replay of the same substitution, in the same operation order, takes its place.
 Both give every solution bit-identical to dgtsv's.
 
 A step refuses a grid whose time step is too coarse for it (``GridTooCoarse``):
-the split coupling needs max |q_jj| dt <= 1/2, and each implicit row, which
-sums to 1 - dt r, needs dt r < 1 for every reaction r.
+the split coupling needs max |q_jj| dt <= 1/2, each implicit row, which sums
+to 1 - dt r, needs dt r < 1 for every reaction r, and the far edge's diagonal
+1 - dt ((D + a) g / dz + r) must be positive too.
 
 Boundary rows are built by ghost-node elimination: a reflecting edge
 (u_z = 0) at z = 0, and zero curvature in the price variable at z_max
-(x^2 f_xx = u_zz - u_z = 0), matching the linear-in-x far field of both
-surfaces.  Zero curvature in z itself would contradict the far field
+(x^2 f_xx = u_zz - u_z = 0, ghost factor g = 1 / (1 - dz / 2)), matching the
+linear-in-x far field of both surfaces; that row is one-sided, downwind where
+D + a > 0.  Zero curvature in z itself would contradict the far field
 u ~ e^z and drags the top of the grid down by O(1).
 """
 
@@ -38,7 +42,7 @@ from .grids import Grid
 from .model import ValidatedModel
 from .markov import transition_matrix
 
-__all__ = ["BackwardStepper", "GridTooCoarse", "Tridiagonal", "COUPLING_DT_LIMIT", "REACTION_DT_LIMIT"]
+__all__ = ["BackwardStepper", "GridTooCoarse", "Stencil", "Tridiagonal", "COUPLING_DT_LIMIT", "REACTION_DT_LIMIT"]
 
 # Splitting accuracy guard on the regime-coupling magnitude per step.
 COUPLING_DT_LIMIT = 0.5
@@ -53,9 +57,11 @@ class GridTooCoarse(ValueError):
     """Raised when the time step is too large for the stepper.
 
     That is when max |q_jj| * dt exceeds ``COUPLING_DT_LIMIT`` (the split-step
-    coupling), or when dt * r reaches ``REACTION_DT_LIMIT`` for a reaction r
+    coupling), when dt * r reaches ``REACTION_DT_LIMIT`` for a reaction r
     (the implicit row's sum 1 - dt * r is then no longer positive, and the
-    step no longer keeps a positive solution positive).
+    step no longer keeps a positive solution positive), or when the far
+    edge's dt * ((D + a) * g / dz + r) reaches it too (that row's diagonal is
+    then no longer positive).
     """
 
 
@@ -163,48 +169,78 @@ class Tridiagonal:
         return sol
 
 
-class BackwardStepper:
-    """Backward Euler stepper, implicit per regime, split regime coupling."""
+class Stencil:
+    """L on one grid, per regime: diffusion D = sigma^2 / 2, ``advection`` a, ``reaction`` r, ghost factor ``g_edge``
+    and the far edge's ``edge_rate`` (D + a) g_edge / dz + r."""
 
     def __init__(self, model: ValidatedModel, grid: Grid, advection, reaction):
-        coupling = float(np.max(model.jump_rates())) * grid.dt
+        self.grid = grid
+        self.diffusion = 0.5 * model.sigma**2
+        self.advection = np.asarray(advection, dtype=float)
+        self.reaction = np.asarray(reaction, dtype=float)
+        # z_max: ghost chosen so u_zz = u_z (zero curvature in x); both
+        # collapse to g_edge * (u_{N-1} - u_{N-2}) / dz.
+        self.g_edge = 1.0 / (1.0 - 0.5 * grid.dz)
+        # That row's diagonal in I - dt L is 1 - dt * edge_rate.
+        self.edge_rate = (self.diffusion + self.advection) * self.g_edge / grid.dz + self.reaction
+
+    def implicit_rows(self, j: int, dt: float):
+        """Sub-, main and super-diagonal of I - dt L in regime j (n - 1, n and n - 1 entries)."""
+        # A numpy float, so that a huge dz squares to inf (refused by Tridiagonal)
+        # where a Python float's ** raises OverflowError; both call the same pow.
+        dz, n = np.float64(self.grid.dz), self.grid.n_x
+        D, a, r = self.diffusion[j], self.advection[j], self.reaction[j]
+        lo = np.full(n, -dt * (D / dz**2 - a / (2 * dz)))
+        di = np.full(n, 1.0 + dt * (2 * D / dz**2 - r))
+        up = np.full(n, -dt * (D / dz**2 + a / (2 * dz)))
+        # z = 0: ghost reflection u_{-1} = u_1 kills the advection term.
+        up[0] = -dt * (2 * D / dz**2)
+        lo[-1] = dt * (D + a) * self.g_edge / dz
+        di[-1] = 1.0 - dt * self.edge_rate[j]
+        return lo[1:], di, up[:-1]
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        """L applied to each regime's column of the (n_x, m) slice ``values``; no time or Q terms."""
+        dz = self.grid.dz
+        out = np.empty_like(values)
+        for j, (D, a, r) in enumerate(zip(self.diffusion, self.advection, self.reaction)):
+            u, res = values[:, j], out[:, j]
+            res[1:-1] = (D * (u[2:] - 2 * u[1:-1] + u[:-2]) / dz**2 + a * (u[2:] - u[:-2]) / (2 * dz)
+                         + r * u[1:-1])
+            res[0] = D * (2 * u[1] - 2 * u[0]) / dz**2 + r * u[0]
+            res[-1] = (D + a) * self.g_edge * (u[-1] - u[-2]) / dz + r * u[-1]
+        return out
+
+
+class BackwardStepper:
+    """Backward Euler stepper of one stencil: implicit per regime, split regime coupling."""
+
+    def __init__(self, model: ValidatedModel, stencil: Stencil):
+        dt = stencil.grid.dt
+        coupling = float(np.max(model.jump_rates())) * dt
         if coupling > COUPLING_DT_LIMIT:
             raise GridTooCoarse(
                 f"max |q_jj| * dt = {coupling:.3g} exceeds {COUPLING_DT_LIMIT}; refine the time grid"
             )
-        self.grid = grid
-        self.m = model.m
-        self.advection = np.asarray(advection, dtype=float)
-        self.reaction = np.asarray(reaction, dtype=float)
-        j = int(np.argmax(self.reaction))
-        reacting = float(self.reaction[j]) * grid.dt
+        j = int(np.argmax(stencil.reaction))
+        reacting = float(stencil.reaction[j]) * dt
         if reacting >= REACTION_DT_LIMIT:
             raise GridTooCoarse(
                 f"regime {j + 1}: dt * reaction = {reacting:.3g} is not below {REACTION_DT_LIMIT}, so the "
                 "implicit rows' sum 1 - dt * reaction is not positive; refine the time grid"
             )
-        self.diffusion = 0.5 * model.sigma**2
-        self.coupling = transition_matrix(model.Q, grid.dt)
-
-        # A numpy float, so that a huge dz squares to inf (refused below) where a
-        # Python float's ** raises OverflowError; both call the same pow.
-        dz, dt = np.float64(grid.dz), grid.dt
-        n = grid.n_x
+        edge = dt * stencil.edge_rate
+        j = int(np.argmax(edge))
+        if edge[j] >= REACTION_DT_LIMIT:
+            raise GridTooCoarse(
+                f"regime {j + 1}: at the far edge dt * ((D + a) * g / dz + reaction) = {edge[j]:.3g} is not below "
+                f"{REACTION_DT_LIMIT}, so that row's diagonal is not positive; refine the time grid"
+            )
+        self.coupling = transition_matrix(model.Q, dt)
         self._solvers = []
         for j in range(model.m):
-            D, a, r = self.diffusion[j], self.advection[j], self.reaction[j]
-            lo = np.full(n, -dt * (D / dz**2 - a / (2 * dz)))
-            di = np.full(n, 1.0 + dt * (2 * D / dz**2 - r))
-            up = np.full(n, -dt * (D / dz**2 + a / (2 * dz)))
-            # z = 0: ghost reflection u_{-1} = u_1 kills the advection term.
-            up[0] = -dt * (2 * D / dz**2)
-            # z_max: ghost chosen so u_zz = u_z (zero curvature in x); both
-            # collapse to g * (u_{N-1} - u_{N-2}) / dz.
-            g_edge = 1.0 / (1.0 - 0.5 * dz)
-            lo[-1] = dt * (D + a) * g_edge / dz
-            di[-1] = 1.0 - dt * ((D + a) * g_edge / dz + r)
             try:
-                self._solvers.append(Tridiagonal(lo[1:], di, up[:-1]))
+                self._solvers.append(Tridiagonal(*stencil.implicit_rows(j, dt)))
             except np.linalg.LinAlgError as exc:
                 raise np.linalg.LinAlgError(f"regime {j + 1}: lattice matrix: {exc}") from None
 
@@ -214,27 +250,3 @@ class BackwardStepper:
         for solver, column in zip(self._solvers, columns):
             solver.solve(column)
         return columns.T
-
-    def apply_spatial(self, values: np.ndarray) -> np.ndarray:
-        """Discrete per-regime spatial operator (no time or Q terms).
-
-        Uses the same stencil rows as the implicit matrices, so residuals
-        measured with it are consistent with what the stepper solved.
-        """
-        grid = self.grid
-        dz = grid.dz
-        out = np.empty_like(values)
-        for j in range(self.m):
-            D, a, r = self.diffusion[j], self.advection[j], self.reaction[j]
-            u = values[:, j]
-            res = np.empty_like(u)
-            res[1:-1] = (
-                D * (u[2:] - 2 * u[1:-1] + u[:-2]) / dz**2
-                + a * (u[2:] - u[:-2]) / (2 * dz)
-                + r * u[1:-1]
-            )
-            res[0] = D * (2 * u[1] - 2 * u[0]) / dz**2 + r * u[0]
-            g_edge = 1.0 / (1.0 - 0.5 * dz)
-            res[-1] = (D + a) * g_edge * (u[-1] - u[-2]) / dz + r * u[-1]
-            out[:, j] = res
-        return out

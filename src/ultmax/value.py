@@ -19,9 +19,9 @@ import numpy as np
 
 from .grids import Grid, Surface
 from .model import ValidatedModel
-from .stepping import BackwardStepper
+from .stepping import BackwardStepper, Stencil
 
-__all__ = ["ValueSurfaces", "solve_value", "discrete_generator_image"]
+__all__ = ["ValueSurfaces", "value_stencil", "solve_value", "discrete_generator_image"]
 
 
 @dataclass(frozen=True)
@@ -34,15 +34,15 @@ class ValueSurfaces:
     grid: Grid
     model: ValidatedModel
 
-    @staticmethod
-    def value_stepper(model: ValidatedModel, grid: Grid) -> BackwardStepper:
-        """The linear step of the value solve: advection sigma^2/2 - mu, no reaction."""
-        return BackwardStepper(model, grid, advection=0.5 * model.sigma**2 - model.mu, reaction=np.zeros(model.m))
+
+def value_stencil(model: ValidatedModel, grid: Grid) -> Stencil:
+    """The value solve's spatial operator: advection sigma^2/2 - mu, no reaction."""
+    return Stencil(model, grid, advection=0.5 * model.sigma**2 - model.mu, reaction=np.zeros(model.m))
 
 
 def solve_value(model: ValidatedModel, grid: Grid, surface_g: Surface) -> ValueSurfaces:
     """Backward sweep with projection onto the obstacle V <= G."""
-    stepper = ValueSurfaces.value_stepper(model, grid)
+    stepper = BackwardStepper(model, value_stencil(model, grid))
     g = surface_g.values
     v = np.empty_like(g)
     v[-1] = grid.x[:, None]
@@ -62,10 +62,10 @@ def discrete_generator_image(surfaces: ValueSurfaces) -> np.ndarray:
     other regimes have not stopped.
     """
     grid = surfaces.grid
-    stepper = ValueSurfaces.value_stepper(surfaces.model, grid)
+    stencil = value_stencil(surfaces.model, grid)
     v = surfaces.V.values
     out = np.empty((grid.n_t, grid.n_x, grid.m))
     Q = surfaces.model.Q
     for k in range(grid.n_t):
-        out[k] = (v[k + 1] - v[k]) / grid.dt + stepper.apply_spatial(v[k]) + v[k] @ Q.T
+        out[k] = (v[k + 1] - v[k]) / grid.dt + stencil.apply(v[k]) + v[k] @ Q.T
     return out

@@ -28,10 +28,10 @@ import numpy as np
 from .boundary import Boundary
 from .markov import derive_seed
 from .model import ValidatedModel
-from .paths import map_blocks, mean_se, moments, reduce_terminal, terminal_mean
+from .paths import map_blocks, mean_se, moments
 from .value import ValueSurfaces, discrete_generator_image
 
-__all__ = ["VolterraReport", "estimate_J", "estimate_K", "volterra_residual", "LVInterpolator"]
+__all__ = ["VolterraReport", "volterra_residual", "LVInterpolator"]
 
 
 class LVInterpolator:
@@ -74,61 +74,6 @@ class LVInterpolator:
         b *= wt
         a += b
         return a
-
-
-def estimate_J(
-    model: ValidatedModel,
-    t: float,
-    x: float,
-    j: int,
-    n_paths: int,
-    seed,
-    n_steps: int = 16,
-    bridge_max: bool = True,
-) -> tuple[float, float]:
-    """Monte Carlo (mean, standard error) of the terminal ratio from (t, x, j).
-
-    At t = T the ratio is x itself with zero variance.
-    """
-    return terminal_mean(model, t, x, j, n_paths, seed, n_steps, bridge_max, ratio=True)
-
-
-def estimate_K(
-    model: ValidatedModel,
-    surfaces: ValueSurfaces,
-    boundary: Boundary,
-    t: float,
-    r: float,
-    x: float,
-    j: int,
-    n_paths: int,
-    seed,
-    bridge_max: bool = True,
-) -> tuple[float, float]:
-    """Monte Carlo (mean, standard error) of the kernel K(t, r, x, j).
-
-    Simulates the ratio process from (t, x, j) to r and averages the
-    interpolated LV over the paths beyond the boundary.  At r = t the value
-    is deterministic given the surfaces: LV(t, x, j) if x is past the
-    boundary, else 0.
-    """
-    if x < 1.0:
-        raise ValueError("x must be at least 1")
-    if not t <= r <= model.T:
-        raise ValueError("need t <= r <= horizon")
-    lv = LVInterpolator(surfaces)
-    b_here = boundary.levels_at([r])[0]
-    if r == t:
-        val = float(lv(t, np.array([np.log(x)]), np.array([j]))[0]) if x > b_here[j] else 0.0
-        return val, 0.0
-
-    n_steps = max(1, int(round((r - t) / model.T * 64)))
-
-    def stats(state, ylog, ymaxlog):
-        xlog = ymaxlog - ylog
-        return moments(lv(r, xlog, state) * (np.exp(xlog) > b_here[state]))
-
-    return mean_se(reduce_terminal(model, t, j, n_paths, n_steps, seed, bridge_max, stats, t_end=r, x0=x), n_paths)[0]
 
 
 @dataclass

@@ -1,6 +1,8 @@
 """Shared pytest wiring: the acceptance gate's per-criterion verdict lines,
 the fixture that puts the lattice's tridiagonal solve on its Python replay,
 the path recorder and ratio-process oracle the path and policy tests share,
+the Monte Carlo estimators of the boundary equation's J and K that the
+goldens in ``ultmax.pinned`` are defined by,
 the stationary law the regime-limit test reads, the boundary's sentinel
 mask the boundary tests share, and the structural checks of a solved value
 surface that the value-solver tests and acceptance criteria 7-10 read.
@@ -18,9 +20,10 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from ultmax import stepping
 from ultmax.boundary import Boundary
 from ultmax.grids import Surface
-from ultmax.model import NotApplicable
-from ultmax.paths import map_blocks
+from ultmax.model import NotApplicable, ValidatedModel
+from ultmax.paths import map_blocks, mean_se, moments, reduce_terminal, terminal_mean
 from ultmax.value import ValueSurfaces
+from ultmax.volterra import LVInterpolator
 
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
@@ -63,6 +66,63 @@ def simulate_paths(model, t0, j0, n_paths, n_steps, seed, bridge_max=False) -> P
 
     map_blocks(model, times, j0, n_paths, seed, bridge_max, block)
     return PathBundle(n_paths, n_steps, times, states.T, np.exp(y).T, np.exp(ymax).T)
+
+
+# The Monte Carlo estimators of the boundary equation's two terms, one point at a
+# time: the goldens in ultmax.pinned are defined as the values they give.
+def estimate_J(
+    model: ValidatedModel,
+    t: float,
+    x: float,
+    j: int,
+    n_paths: int,
+    seed,
+    n_steps: int = 16,
+    bridge_max: bool = True,
+) -> tuple[float, float]:
+    """Monte Carlo (mean, standard error) of the terminal ratio from (t, x, j).
+
+    At t = T the ratio is x itself with zero variance.
+    """
+    return terminal_mean(model, t, x, j, n_paths, seed, n_steps, bridge_max, ratio=True)
+
+
+def estimate_K(
+    model: ValidatedModel,
+    surfaces: ValueSurfaces,
+    boundary: Boundary,
+    t: float,
+    r: float,
+    x: float,
+    j: int,
+    n_paths: int,
+    seed,
+    bridge_max: bool = True,
+) -> tuple[float, float]:
+    """Monte Carlo (mean, standard error) of the kernel K(t, r, x, j).
+
+    Simulates the ratio process from (t, x, j) to r and averages the
+    interpolated LV over the paths beyond the boundary.  At r = t the value
+    is deterministic given the surfaces: LV(t, x, j) if x is past the
+    boundary, else 0.
+    """
+    if x < 1.0:
+        raise ValueError("x must be at least 1")
+    if not t <= r <= model.T:
+        raise ValueError("need t <= r <= horizon")
+    lv = LVInterpolator(surfaces)
+    b_here = boundary.levels_at([r])[0]
+    if r == t:
+        val = float(lv(t, np.array([np.log(x)]), np.array([j]))[0]) if x > b_here[j] else 0.0
+        return val, 0.0
+
+    n_steps = max(1, int(round((r - t) / model.T * 64)))
+
+    def stats(state, ylog, ymaxlog):
+        xlog = ymaxlog - ylog
+        return moments(lv(r, xlog, state) * (np.exp(xlog) > b_here[state]))
+
+    return mean_se(reduce_terminal(model, t, j, n_paths, n_steps, seed, bridge_max, stats, t_end=r, x0=x), n_paths)[0]
 
 
 def stationary_distribution(Q) -> np.ndarray:

@@ -194,6 +194,20 @@ def test_reaction_past_the_time_step_exits_3(config, tmp_path, capsys):
     assert not list(out.iterdir())
 
 
+def test_far_edge_past_the_time_step_exits_3(tmp_path, capsys):
+    # The value rows' far edge: dt * (D + a) * g / dz = 2.68 and 4.09 with D + a = sigma^2 - mu,
+    # where those rows' diagonals went negative and the run exited 0 with V = -2816 beside G = 549.7.
+    cfg = tmp_path / "edge.yaml"
+    cfg.write_text("model: {mu: [0.45, -0.2], sigma: [1.0, 0.8], q: [[0, 0], [0.2, -0.2]], horizon: 2}\n"
+                   "grid: {n_x: 12, n_t: 1}\nmc: {seed: 1}\n")
+    out = tmp_path / "edge"
+    assert run_cli("solve", cfg, out) == 3
+    assert capsys.readouterr().err == (
+        "solver error: regime 2: at the far edge dt * ((D + a) * g / dz + reaction) = 4.09 is not below 1.0, "
+        "so that row's diagonal is not positive; refine the time grid\n")
+    assert not list(out.iterdir())
+
+
 def test_overflowing_lattice_coefficients_exit_3(config, tmp_path):
     # sigma^2 T = 684.5 is below the bound on its exponential and dz^2 = 4e-308 is
     # a normal double (both are config errors beyond that), but sigma^2 / dz^2
@@ -214,7 +228,7 @@ def test_overflowing_lattice_coefficients_exit_3(config, tmp_path):
 
 OVERFLOW_YAML = """\
 model: {{mu: [{mu}], sigma: [{sigma}], q: [[0]], horizon: {horizon}}}
-grid: {{n_x: 12, n_t: 6, z_max: 10}}
+grid: {{n_x: 12, n_t: 1500, z_max: 10}}
 mc: {{n_paths: 3000, n_steps: 8, seed: 11}}
 eval: {{start_regime: 1, policies: ["boundary", "immediate", "at_maturity", {{threshold: [1.05]}}]}}
 volterra: {{n_quad: 4, report_every: 2}}

@@ -13,7 +13,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import simulate_paths
+from conftest import estimate_J, estimate_K, simulate_paths
 
 from ultmax import pinned
 from ultmax.boundary import extract_boundary
@@ -23,7 +23,7 @@ from ultmax.model import RegimeModel, validate
 from ultmax.paths import BLOCK_SIZE
 from ultmax.strategy import Policy, compare_policies
 from ultmax.value import solve_value
-from ultmax.volterra import estimate_J, estimate_K, volterra_residual
+from ultmax.volterra import volterra_residual
 
 FIG = validate(pinned.make_model(pinned.FIGURE_MODEL))
 N_PATHS = 70_000

@@ -78,11 +78,6 @@ def test_only_the_stepper_imports_ctypes():
     assert importers == [CTYPES_MODULE]
 
 
-# Exported without a library reader on purpose: the goldens in pinned.py are
-# defined as the values these estimators give.
-READER_FREE_EXPORTS = {"volterra": {"estimate_J", "estimate_K"}}
-
-
 def exports(tree):
     """The names a module's ``__all__`` lists, if it has one."""
     for node in tree.body:
@@ -106,8 +101,5 @@ def test_every_export_has_a_run_time_reader():
                 read.add(node.id if isinstance(node, ast.Name) else node.attr)
     exported = {module: set(exports(tree)) for module, tree in trees.items()}
     assert sum(map(bool, exported.values())) > 10
-    for module, names in READER_FREE_EXPORTS.items():
-        assert names <= exported[module] - read, f"{module}: {names} are no longer reader-free exports"
-    unread = {module: sorted(names - read - READER_FREE_EXPORTS.get(module, set()))
-              for module, names in exported.items()}
+    unread = {module: sorted(names - read) for module, names in exported.items()}
     assert {module: names for module, names in unread.items() if names} == {}

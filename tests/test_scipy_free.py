@@ -38,7 +38,7 @@ import ultmax
 from ultmax import stepping
 from ultmax.grids import Grid, default_z_max, truncation_tail_bound
 from ultmax.model import RegimeModel, validate
-from ultmax.stepping import BackwardStepper, Tridiagonal
+from ultmax.stepping import BackwardStepper, Stencil, Tridiagonal
 
 
 def same_bits(got, expected):
@@ -172,13 +172,16 @@ def test_stepper_matches_solve_banded_on_random_models(monkeypatch):
         m = trial % 4 + 1
         model = random_model(rng, m)
         n_x, n_t = shapes[trial % len(shapes)]
-        n_t = max(n_t, math.ceil(2.0 * float(np.max(model.jump_rates())) * model.T) + 1)
         z_max = float(rng.uniform(0.5, 4.0)) if trial % 3 else None
-        grid = Grid.for_model(model, n_x=n_x, n_t=n_t, z_max=z_max)
         advection = rng.uniform(-1.0, 1.0, m)
         reaction = rng.uniform(-0.5, 0.5, m) if trial % 2 else np.zeros(m)
+        # n_t past both rules that depend on dt: the coupling's and the far edge's (dz does not depend on n_t).
+        edge = Stencil(model, Grid.for_model(model, n_x=n_x, n_t=1, z_max=z_max), advection, reaction)
+        n_t = max(n_t, math.ceil(2.0 * float(np.max(model.jump_rates())) * model.T) + 1,
+                  math.ceil(float(np.max(edge.edge_rate)) * model.T) + 1)
+        grid = Grid.for_model(model, n_x=n_x, n_t=n_t, z_max=z_max)
         matrices.clear()
-        stepper = BackwardStepper(model, grid, advection, reaction)
+        stepper = BackwardStepper(model, Stencil(model, grid, advection, reaction))
         assert len(matrices) == m
         values = np.exp(grid.z)[:, None] * rng.uniform(0.5, 1.5, (1, m))
         for _ in range(3):

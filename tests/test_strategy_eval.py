@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import lift_to_x, simulate_paths
+from conftest import estimate_J, lift_to_x, simulate_paths
 
 import ultmax.paths
 from ultmax import pinned
@@ -12,7 +12,6 @@ from ultmax.markov import derive_rng
 from ultmax.model import RegimeModel, validate
 from ultmax.strategy import Policy, compare_policies
 from ultmax.value import solve_value
-from ultmax.volterra import estimate_J
 
 FIG = validate(pinned.make_model(pinned.FIGURE_MODEL))
 IMMEDIATE = validate(pinned.make_model(pinned.IMMEDIATE_MODEL))

@@ -4,13 +4,13 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import check_F_monotone_t, check_normal_reflection, check_smooth_fit, containment_violations
 
-from ultmax import pinned
+from ultmax import pinned, stepping
 from ultmax.boundary import extract_boundary
-from ultmax.gain import dG_dx, g_pde, lg
+from ultmax.gain import dG_dx, g_pde, gain_stencil, lg
 from ultmax.grids import Grid
 from ultmax.model import NotApplicable, RegimeModel, validate
-from ultmax.stepping import COUPLING_DT_LIMIT, REACTION_DT_LIMIT, GridTooCoarse
-from ultmax.value import ValueSurfaces, discrete_generator_image, solve_value
+from ultmax.stepping import COUPLING_DT_LIMIT, REACTION_DT_LIMIT, BackwardStepper, GridTooCoarse
+from ultmax.value import discrete_generator_image, solve_value, value_stencil
 
 FIG = validate(pinned.make_model(pinned.FIGURE_MODEL))
 IMMEDIATE = validate(pinned.make_model(pinned.IMMEDIATE_MODEL))
@@ -173,6 +173,18 @@ def test_generator_image_vanishes_in_continuation(fig):
     assert np.abs(lv[deep]).max() < 20.0 * pinned.TOL_SCHEME
 
 
+def test_generator_image_factors_no_matrix(fig, monkeypatch):
+    # It reads the value stencil alone: no stepper, so no tridiagonal factorization.
+    grid, S = fig
+    expected = discrete_generator_image(S)
+
+    def refuse(*rows):
+        raise AssertionError("the generator image built a tridiagonal matrix")
+
+    monkeypatch.setattr(stepping, "Tridiagonal", refuse)
+    assert discrete_generator_image(S).tobytes() == expected.tobytes()
+
+
 def test_strict_containment(fig):
     # Wherever the gain's generator image is decidedly negative, the solved
     # gap is strictly negative, for all three families.
@@ -221,28 +233,37 @@ def lattice_cases(draw):
 # reach and 400 do: mu (0.5, 0.6875), sigma (0.7, 0.75), Q = 0, T = 0.75 on
 # 12 x 4, where F decreases in t at the top node of regime 1 (gone at 24 x 4).
 # The drawn time steps keep dt * mu below 1/2; the explicit examples put the
-# gain's reaction mu at the bound dt * mu < 1 (dt = 1) and just inside it.
+# gain's reaction mu at the bound dt * mu < 1 (dt = 1) and just inside it, and
+# the last puts the value rows' far edge past its bound (dt = 2, where the
+# lattice wrote V = -2816 beside G = 549.7) while the gain's stays inside.
 @settings(max_examples=100, deadline=None)
 @given(case=lattice_cases())
 @example(case=(validate(RegimeModel([1.0], [1.0], [[0.0]], 2.0)), 20, 2))
 @example(case=(validate(RegimeModel([0.2, 1.0], [0.8, 1.0], [[-0.1, 0.1], [0.0, 0.0]], 2.0)), 20, 2))
 @example(case=(validate(RegimeModel([0.95, -0.2], [1.0, 0.8], [[0.0, 0.0], [0.2, -0.2]], 2.0)), 20, 2))
+@example(case=(validate(RegimeModel([0.45, -0.2], [1.0, 0.8], [[0.0, 0.0], [0.2, -0.2]], 2.0)), 12, 1))
 def test_lattice_properties_over_random_models(case):
     model, n_x, n_t = case
     grid = Grid.for_model(model, n_x=n_x, n_t=n_t)
+    stencils = gain_stencil(model, grid), value_stencil(model, grid)
     # Centred advection keeps the discrete maximum principle only while each
-    # stepper's cell Peclet number |a| dz / (2 D), with D = sigma^2 / 2, is at most 1.
-    for advection in (-(model.mu + 0.5 * model.sigma**2), 0.5 * model.sigma**2 - model.mu):
-        assume(np.all(np.abs(advection) * grid.dz <= model.sigma**2))
+    # stencil's cell Peclet number |a| dz / (2 D) is at most 1.
+    for stencil in stencils:
+        assume(np.all(np.abs(stencil.advection) * grid.dz <= 2.0 * stencil.diffusion))
     coarse = float(np.max(model.jump_rates())) * grid.dt > COUPLING_DT_LIMIT
-    if coarse or grid.dt * float(np.max(model.mu)) >= REACTION_DT_LIMIT:  # the gain's reaction is mu
-        with pytest.raises(GridTooCoarse):
-            g_pde(model, grid)
-        if coarse:
-            with pytest.raises(GridTooCoarse):
-                ValueSurfaces.value_stepper(model, grid)
-        else:  # the value step has no reaction
-            ValueSurfaces.value_stepper(model, grid)
+    refused = [
+        coarse
+        or grid.dt * float(np.max(s.reaction)) >= REACTION_DT_LIMIT
+        or grid.dt * float(np.max((s.diffusion + s.advection) * s.g_edge / grid.dz + s.reaction)) >= REACTION_DT_LIMIT
+        for s in stencils
+    ]
+    if any(refused):
+        for stencil, refuse in zip(stencils, refused):
+            if refuse:
+                with pytest.raises(GridTooCoarse):
+                    BackwardStepper(model, stencil)
+            else:
+                BackwardStepper(model, stencil)
         return
     S = solve_value(model, grid, g_pde(model, grid))
     V, G = S.V.values, S.G.values

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
+from conftest import estimate_J, estimate_K
+
 from ultmax import pinned
 from ultmax.boundary import extract_boundary
 from ultmax.gain import dG_dx, g_monte_carlo, g_pde, lg
 from ultmax.grids import Grid
 from ultmax.model import validate
 from ultmax.value import solve_value
-from ultmax.volterra import estimate_J, estimate_K, volterra_residual
+from ultmax.volterra import volterra_residual
 
 FIG = validate(pinned.make_model(pinned.FIGURE_MODEL))
 SINGLE = validate(pinned.make_model(pinned.SINGLE_MODEL))
