@@ -10,6 +10,8 @@ quantities, so any output file can be traced to the exact inputs.  CSVs are
 UTF-8, comma-separated, one header row, LF endings; a column's format is
 fixed by its type (integers and flags in full, reals to 12 significant
 digits, text quoted as RFC 4180 has it when it holds a comma or a quote).
+One writer, ``_write_csv``, writes every CSV from chunks of two shapes: a
+table (``_table``) and a surface, one time slice at a time (``_surface``).
 Identical config and seed reproduce every file byte for byte.
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure,
@@ -73,38 +75,33 @@ def _column(col):
     return "%s", [_fmt(v) for v in col.tolist()]
 
 
-def _spelled(col) -> list:
-    """A column's fields as text a row template can hold (``%`` doubled)."""
-    spec, values = _column(col)
-    return [(spec % v).replace("%", "%%") for v in values]
+def _table(*columns):
+    """A table as one ``(template, values)`` chunk: a row per entry of the columns."""
+    cols = [_column(col) for col in columns]
+    rows = list(zip(*(values for _, values in cols)))
+    return (",".join(spec for spec, _ in cols) + "\n") * len(rows), tuple(chain.from_iterable(rows))
 
 
-def _write_csv(path: Path, header, blocks, keys=()) -> None:
-    """Write ``header`` and then each block's rows, with one ``%`` call per block.
+def _surface(grid, *surfaces):
+    """A surface file's ``(template, values)`` chunks, one per time slice: rows of t, x, j, each surface's value.
 
-    A block is a list of columns: first any 0-d ones, the same in every row
-    of the block (``t`` of a surface slice), then ones with an entry per row.
-    ``keys`` are columns the same in every block (``x`` and ``j`` of a
-    surface), written after the 0-d fields.  Key fields are spelled once per
-    file and 0-d ones once per block, into a row template that only the
-    per-row values are formatted into; each row reads as ``spec % row`` would.
+    x and the 1-based regime j are spelled once per file and t once per
+    slice, into the slice's template; only the surface values are formatted
+    into it, and only one slice's rows are in memory at a time.
     """
-    key_fields = [",".join(row) for row in zip(*map(_spelled, keys))]
-    templates = {}  # (value specs, rows) -> "" and then each row after its 0-d fields
+    spec = ",".join(["%.12g"] * len(surfaces))
+    template, fields = _table(np.repeat(grid.x, grid.m), np.tile(np.arange(1, grid.m + 1), grid.n_x))
+    rows = ["", *(f"{node},{spec}\n" for node in (template % fields).splitlines())]  # "" puts t before the first row
+    for t, *values in zip(grid.t, *(s.values for s in surfaces)):
+        yield ("%.12g," % t).join(rows), tuple(np.stack(values, axis=-1).ravel().tolist())
+
+
+def _write_csv(path: Path, header, chunks) -> None:
+    """Write ``header``, then ``template % values`` for each chunk; text is only ever in values, never in a template."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for block in blocks:
-            block = list(block)
-            n_lead = next((i for i, col in enumerate(block) if np.ndim(col)), len(block))
-            lead = "".join(_spelled([col])[0] + "," for col in block[:n_lead])
-            cols = [_column(col) for col in block[n_lead:]]
-            spec = ",".join(s for s, _ in cols)
-            n_rows = len(key_fields) if keys else len(cols[0][1]) if cols else 0
-            if (spec, n_rows) not in templates:
-                rows = [k + "," + spec if spec else k for k in key_fields] if keys else [spec] * n_rows
-                templates[spec, n_rows] = ["", *(row + "\n" for row in rows)]
-            values = chain.from_iterable(zip(*(v for _, v in cols)))
-            fh.write(lead.join(templates[spec, n_rows]) % tuple(values))
+        for template, values in chunks:
+            fh.write(template % values)
 
 
 def _write_kv(path: Path, entries: dict) -> None:
@@ -226,7 +223,8 @@ class _ConfigLoader(yaml.SafeLoader):
                     continue  # unhashable: the base constructor refuses it
                 if repeated:
                     raise yaml.constructor.ConstructorError(
-                        "while constructing a mapping", node.start_mark, f"found duplicate key {key!r}", key_node.start_mark
+                        "while constructing a mapping", node.start_mark,
+                        f"found duplicate key {key!r}", key_node.start_mark,
                     )
                 seen.add(key)
         return super().construct_mapping(node, deep)
@@ -244,7 +242,9 @@ def load_config(path: str) -> tuple[dict, str]:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         line = exc.object.count(b"\n", 0, exc.start) + 1
-        raise ConfigError(f"cannot read config file {path}: not UTF-8 at line {line} (byte offset {exc.start})") from exc
+        raise ConfigError(
+            f"cannot read config file {path}: not UTF-8 at line {line} (byte offset {exc.start})"
+        ) from exc
     try:
         cfg = yaml.load(text, _ConfigLoader)
     except yaml.YAMLError as exc:
@@ -318,29 +318,17 @@ class RunInputs:
         return extract_boundary(surfaces, self.settings["tolerances.tol_abs"])
 
 
-def _surface_blocks(grid, *surfaces):
-    """CSV blocks of (t, x, regime, each surface's value), one time slice each, and their keys.
-
-    Returns ``(blocks, keys)`` for ``_write_csv``: each block is a slice's
-    ``t`` and its surface values, and the keys are the (x, regime) columns
-    every slice shares.  A slice at a time keeps the formatted rows of a
-    whole surface out of memory.
-    """
-    keys = [np.repeat(grid.x, grid.m), np.tile(np.arange(1, grid.m + 1), grid.n_x)]
-    return ([grid.t[k], *(s.values[k].ravel() for s in surfaces)] for k in range(grid.n_t + 1)), keys
-
-
 def _write_value_surface(out_dir: Path, surfaces) -> None:
-    vgf = _surface_blocks(surfaces.grid, surfaces.V, surfaces.G, surfaces.F)
-    _write_csv(out_dir / "value_surface.csv", ["t", "x", "j", "V", "G", "F"], *vgf)
+    vgf = _surface(surfaces.grid, surfaces.V, surfaces.G, surfaces.F)
+    _write_csv(out_dir / "value_surface.csv", ["t", "x", "j", "V", "G", "F"], vgf)
 
 
 def _write_boundary(out_dir: Path, boundary) -> None:
     grid = boundary.grid
     t, j = np.repeat(grid.t, grid.m), np.tile(np.arange(1, grid.m + 1), grid.n_t + 1)
     b_raw = boundary.b_raw.ravel()
-    block = [t, j, b_raw, boundary.b_smoothed.ravel(), ~np.isfinite(b_raw)]
-    _write_csv(out_dir / "boundary.csv", ["t", "j", "b_raw", "b_smoothed", "is_sentinel"], [block])
+    table = _table(t, j, b_raw, boundary.b_smoothed.ravel(), ~np.isfinite(b_raw))
+    _write_csv(out_dir / "boundary.csv", ["t", "j", "b_raw", "b_smoothed", "is_sentinel"], [table])
     _plot_script(out_dir, "boundary.csv", (3, 4), grid.m, "stopping boundary by regime")
 
 
@@ -403,13 +391,10 @@ def cmd_gcheck(out_dir, inputs):
     tol = 3.0 * se + pinned.C_PDE_MC * (grid.dz**2 + grid.dt)
     ok = np.abs(pde - mc_val) <= tol
 
-    _write_csv(out_dir / "gain_surface.csv", ["t", "x", "j", "value"], *_surface_blocks(grid, surface_g))
-    _write_csv(out_dir / "dgdx_surface.csv", ["t", "x", "j", "value"], *_surface_blocks(grid, surface_d))
-    _write_csv(
-        out_dir / "gcheck.csv",
-        ["t", "x", "j", "pde", "mc", "mc_se", "diff", "tol", "pass"],
-        [[t, x, j + 1, pde, mc_val, se, pde - mc_val, tol, ok]],
-    )
+    _write_csv(out_dir / "gain_surface.csv", ["t", "x", "j", "value"], _surface(grid, surface_g))
+    _write_csv(out_dir / "dgdx_surface.csv", ["t", "x", "j", "value"], _surface(grid, surface_d))
+    table = _table(t, x, j + 1, pde, mc_val, se, pde - mc_val, tol, ok)
+    _write_csv(out_dir / "gcheck.csv", ["t", "x", "j", "pde", "mc", "mc_se", "diff", "tol", "pass"], [table])
     keys = {"dgdx_clamp_fraction": surface_d.info["clamp_fraction"], "gcheck_pass": int(ok.all())}
     return keys, None if ok.all() else "lattice and Monte Carlo gain estimates disagree beyond tolerance"
 
@@ -421,10 +406,10 @@ def cmd_solve(out_dir, inputs):
     surface_lg = lg(surfaces.G, surface_d, model, grid)
 
     _write_value_surface(out_dir, surfaces)
-    _write_csv(out_dir / "lg_surface.csv", ["t", "x", "j", "value"], *_surface_blocks(grid, surface_lg))
+    _write_csv(out_dir / "lg_surface.csv", ["t", "x", "j", "value"], _surface(grid, surface_lg))
     h = [h_level(surface_lg, grid, j, inputs.settings["tolerances.eps_sign"]) for j in range(grid.m)]
-    h_blocks = [[grid.t, np.full(grid.t.size, j + 1), h[j]] for j in range(grid.m)]
-    _write_csv(out_dir / "h_level.csv", ["t", "j", "h"], h_blocks)
+    t, j = np.tile(grid.t, grid.m), np.repeat(np.arange(1, grid.m + 1), grid.n_t + 1)
+    _write_csv(out_dir / "h_level.csv", ["t", "j", "h"], [_table(t, j, np.concatenate(h))])
     _plot_script(out_dir, "h_level.csv", (3,), grid.m, "sign-change level by regime")
     return {}, None
 
@@ -462,8 +447,8 @@ def cmd_volterra(out_dir, inputs):
     _write_csv(
         out_dir / "volterra.csv",
         ["t", "j", "lhs", "J", "J_se", "K_integral", "K_se", "residual", "relative_residual"],
-        [[rep.t, rep.regime + 1, rep.lhs, rep.J, rep.J_se, rep.K_integral, rep.K_se, rep.residual,
-          rep.relative_residual]],
+        [_table(rep.t, rep.regime + 1, rep.lhs, rep.J, rep.J_se, rep.K_integral, rep.K_se, rep.residual,
+                rep.relative_residual)],
     )
     keys = dict(n_quad=n_quad, median_abs_relative_residual=rep.median_abs_relative(),
                 n_extrapolated_samples=rep.n_extrapolated)
@@ -471,15 +456,14 @@ def cmd_volterra(out_dir, inputs):
 
 
 def cmd_eval(out_dir, inputs):
-    surfaces, j0 = inputs.surfaces(), inputs.j0
-    boundary = inputs.boundary(surfaces) if "boundary" in inputs.policies else None
-    del surfaces  # the Monte Carlo pass needs only the boundary, so the surfaces are freed before it
+    j0 = inputs.j0
+    boundary = inputs.boundary(inputs.surfaces()) if "boundary" in inputs.policies else None
     policies = [Policy.from_boundary(boundary) if p == "boundary" else p for p in inputs.policies]
     estimates, pairs = compare_policies(inputs.model, policies, j0, **inputs.mc)
     rows = [(e.policy.name(), j0 + 1, e.mean, e.std_error, e.n_paths) for e in estimates]
-    _write_csv(out_dir / "eval.csv", ["policy", "j0", "mean", "std_error", "n_paths"], [zip(*rows)])
+    _write_csv(out_dir / "eval.csv", ["policy", "j0", "mean", "std_error", "n_paths"], [_table(*zip(*rows))])
     rows = [(p.policy_a, p.policy_b, p.diff, p.diff_se) for p in pairs]
-    _write_csv(out_dir / "eval_pairs.csv", ["policy_a", "policy_b", "diff", "diff_se"], [zip(*rows)])
+    _write_csv(out_dir / "eval_pairs.csv", ["policy_a", "policy_b", "diff", "diff_se"], [_table(*zip(*rows))])
     return {}, None
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from .boundary import upper_set_start
 from .grids import Grid, Surface
 from .model import ValidatedModel
-from .paths import terminal_mean
+from .paths import mean_se, moments, reduce_terminal
 from .stepping import BackwardStepper, Stencil
 
 __all__ = ["g_monte_carlo", "gain_stencil", "g_pde", "dG_dx", "lg", "h_level"]
@@ -40,14 +40,26 @@ def g_monte_carlo(
     n_steps: int = 16,
     bridge_max: bool = True,
 ) -> tuple[float, float]:
-    """Monte Carlo estimate (mean, standard error) of the gain at (t, x, j).
+    """Monte Carlo estimate (mean, standard error) of the gain at (t, x, j): the mean of max(x, S) at the horizon.
 
-    With the bridge maximum on, the sampled running maximum has the exact law
-    for any step count, since regime jumps are merged with the grid; the
-    default small n_steps just keeps the jump bookkeeping shallow.  At t = T
-    the gain is x exactly and no paths are simulated.
+    S is the running maximum of Y from Y = 1 at time t, where paths start at
+    ratio x in regime j.  With the bridge maximum on, the sampled running
+    maximum has the exact law for any step count, since regime jumps are
+    merged with the grid; the default small n_steps just keeps the jump
+    bookkeeping shallow.  At t = T the gain is x exactly and no paths are
+    simulated.
     """
-    return terminal_mean(model, t, x, j, n_paths, seed, n_steps, bridge_max, ratio=False)
+    if x < 1.0:
+        raise ValueError("x must be at least 1")
+    if t > model.T:
+        raise ValueError("t must not exceed the horizon")
+    if t == model.T:
+        return float(x), 0.0
+
+    def stats(state, ylog, ymaxlog):
+        return moments(np.exp(ymaxlog))
+
+    return mean_se(reduce_terminal(model, t, j, n_paths, n_steps, seed, bridge_max, stats, x0=x), n_paths)[0]
 
 
 def gain_stencil(model: ValidatedModel, grid: Grid) -> Stencil:

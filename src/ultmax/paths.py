@@ -41,7 +41,6 @@ __all__ = [
     "moments",
     "mean_se",
     "reduce_terminal",
-    "terminal_mean",
     "BLOCK_SIZE",
 ]
 
@@ -246,21 +245,3 @@ def reduce_terminal(
     times = np.linspace(t0, model.T if t_end is None else t_end, n_steps + 1)
     return map_blocks(model, times, j0, n_paths, seed, bridge_max, lambda lo, size: (None, fn), x0)
 
-
-def terminal_mean(model, t, x, j, n_paths, seed, n_steps, bridge_max, ratio) -> tuple[float, float]:
-    """(mean, standard error) at the horizon of max(x, S), or with ``ratio`` of X = max(x, S) / Y.
-
-    S is the running maximum of Y from Y = 1 at time t, where paths start at
-    ratio x in regime j; at t = T no path is simulated.
-    """
-    if x < 1.0:
-        raise ValueError("x must be at least 1")
-    if t > model.T:
-        raise ValueError("t must not exceed the horizon")
-    if t == model.T:
-        return float(x), 0.0  # both are x itself, with zero variance
-
-    def stats(state, ylog, ymaxlog):
-        return moments(np.exp(ymaxlog - ylog if ratio else ymaxlog))
-
-    return mean_se(reduce_terminal(model, t, j, n_paths, n_steps, seed, bridge_max, stats, x0=x), n_paths)[0]

@@ -136,7 +136,7 @@ class Tridiagonal:
                                   *(ctypes.c_void_p(a.ctypes.data) for a in self._factors)), order)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Overwrite ``b``, the caller's contiguous float64 right-hand side of n entries, with the solution; return it."""
+        """Overwrite ``b``, a writable contiguous float64 right-hand side of n entries, with the solution; return it."""
         if b.shape != (self.n,) or b.dtype != np.float64 or not (b.flags.c_contiguous and b.flags.writeable):
             raise ValueError(f"the right-hand side must be a writable contiguous float64 array of {self.n} entries")
         if self._dgttrs is None:

@@ -21,7 +21,7 @@ from ultmax import stepping
 from ultmax.boundary import Boundary
 from ultmax.grids import Surface
 from ultmax.model import NotApplicable, ValidatedModel
-from ultmax.paths import map_blocks, mean_se, moments, reduce_terminal, terminal_mean
+from ultmax.paths import map_blocks, mean_se, moments, reduce_terminal
 from ultmax.value import ValueSurfaces
 from ultmax.volterra import LVInterpolator
 
@@ -80,11 +80,22 @@ def estimate_J(
     n_steps: int = 16,
     bridge_max: bool = True,
 ) -> tuple[float, float]:
-    """Monte Carlo (mean, standard error) of the terminal ratio from (t, x, j).
+    """Monte Carlo (mean, standard error) of the terminal ratio X_T = max(x, S) / Y from (t, x, j).
 
-    At t = T the ratio is x itself with zero variance.
+    S is the running maximum of Y from Y = 1 at time t.  At t = T the ratio is
+    x itself with zero variance.
     """
-    return terminal_mean(model, t, x, j, n_paths, seed, n_steps, bridge_max, ratio=True)
+    if x < 1.0:
+        raise ValueError("x must be at least 1")
+    if t > model.T:
+        raise ValueError("t must not exceed the horizon")
+    if t == model.T:
+        return float(x), 0.0
+
+    def stats(state, ylog, ymaxlog):
+        return moments(np.exp(ymaxlog - ylog))
+
+    return mean_se(reduce_terminal(model, t, j, n_paths, n_steps, seed, bridge_max, stats, x0=x), n_paths)[0]
 
 
 def estimate_K(

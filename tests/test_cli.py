@@ -507,6 +507,24 @@ def test_eval_csvs_parse_with_a_csv_reader(config, tmp_path):
         assert all(int(row["n_paths"]) == 8000 for row in csv.DictReader(fh))
 
 
+def test_eval_without_a_boundary_policy_reads_no_lattice(config, tmp_path, monkeypatch):
+    # One time step is too coarse for the lattice (max |q_jj| * dt = 1.25 exceeds 0.5),
+    # which exited 3 although neither policy reads the lattice.
+    text = config.read_text().replace('["boundary", "immediate", "at_maturity"]', '["immediate", "at_maturity"]')
+    coarse = config.parent / "coarse.yaml"
+    coarse.write_text(text.replace("n_x: 120", "n_x: 12").replace("n_t: 60", "n_t: 1"))
+    assert run_cli("eval", coarse, tmp_path / "coarse") == 0
+    assert (tmp_path / "coarse" / "eval.csv").is_file()
+
+    def no_lattice(*args):
+        raise AssertionError("g_pde called")
+
+    monkeypatch.setattr(cli, "g_pde", no_lattice)
+    fine = config.parent / "fine.yaml"
+    fine.write_text(text)
+    assert run_cli("eval", fine, tmp_path / "fine") == 0
+
+
 # ---------------------------------------------------------------------------
 # Golden bytes: the sha256 of every file these runs write.  The values were
 # recorded once and must not move unless an output format changes on purpose;
@@ -659,47 +677,68 @@ SPECIAL = np.array([np.inf, -np.inf, np.nan, -0.0, 5e-324, 1e300])
 BIG = np.array([2**53 + 1, 2**63 - 1, -(2**63), 0, 7, -1], dtype=np.int64)
 TEXT = np.array(["a,b", 'say "hi"', "50%", "%d%%", "plain", ""])
 
+# Each case is a header and the tables written one after another, each a list of columns.
 WRITER_CASES = {
-    # A surface's layout: t per block, (x, j) keys, then values.
-    "special_floats": (
-        ["t", "x", "j", "v", "w"],
-        [[np.float64(t), SPECIAL[::-1] * s, SPECIAL * s] for t, s in ((-np.inf, 1.0), (np.nan, -1.0), (5e-324, 0.5))],
-        [SPECIAL, np.arange(1, 7)],
-    ),
-    # A per-path layout: an int lead, int and float keys, int16 states and bools.
+    "special_floats": (["t", "v", "w"], [[SPECIAL, SPECIAL[::-1], -SPECIAL]]),
     "big_ints_int16_bools": (
-        ["p", "step", "t", "state", "flag", "big", "u"],
-        [[p, np.array([1, 2, 3, 0, -4, 32767], dtype=np.int16), np.arange(6) % 2 == p, BIG * (1 - 2 * p),
-          np.array([2**64 - 1, 0, 1, 2**53 + 3, 5, 6], dtype=np.uint64)] for p in (0, 1, 2)],
-        [BIG, SPECIAL],
+        ["big", "state", "flag", "u"],
+        [[BIG, np.array([1, 2, 3, 0, -4, 32767], dtype=np.int16), np.arange(6) % 2 == 0,
+          np.array([2**64 - 1, 0, 1, 2**53 + 3, 5, 6], dtype=np.uint64)]],
     ),
-    "text_with_comma_quote_percent": (
-        ["lead", "key", "n", "text"],
-        [[np.str_(lead), np.arange(6), TEXT[::-1]] for lead in ("100%", 'q"uo,te', "x")],
-        [TEXT],
-    ),
-    # A 0-d lead that is text, keys that are text, with no value column.
-    "keys_only": (["lead", "a", "b"], [[np.str_("%s")], [np.float64(-0.0)]], [TEXT, BIG]),
+    # Text is written as a value, so no "%" in it reaches a row template.
+    "text_with_comma_quote_percent": (["text", "n", "back"], [[TEXT, np.arange(6), TEXT[::-1]]]),
     "single_row_blocks": (
-        ["t", "x", "j", "v"],
-        [[np.float64(0.5), np.array([1e300])], [np.float64(-0.0), np.array([np.nan])]],
-        [np.array([5e-324]), np.array([True])],
+        ["t", "j", "v"],
+        [[np.array([1e300]), np.array([3], dtype=np.int16), TEXT[2:3]], [np.array([5e-324]), [7], np.array([True])]],
     ),
-    # No keys: blocks of per-row columns (h_level.csv, eval.csv), an empty one, and one row.
-    "no_keys": (
-        ["t", "j", "h"],
-        [[SPECIAL, np.full(6, 2), BIG], zip(*[]), [TEXT[:1], np.array([3], dtype=np.int16), np.array([True])]],
-        (),
-    ),
+    # No rows: no columns at all (the header-only eval_pairs.csv of one policy), or columns of no entries.
+    "no_rows": (["a", "b", "c"], [[], [np.empty(0), np.empty(0, dtype=np.int64), np.array([], dtype=str)]]),
 }
 
 
 @pytest.mark.parametrize("case", sorted(WRITER_CASES))
 def test_write_csv_matches_the_row_by_row_writer(case, tmp_path):
-    header, blocks, keys = WRITER_CASES[case]
-    blocks = [list(block) for block in blocks]
+    header, tables = WRITER_CASES[case]
     path = tmp_path / "out.csv"
-    cli._write_csv(path, header, iter(blocks), keys)
+    cli._write_csv(path, header, (cli._table(*columns) for columns in tables))
+    assert path.read_bytes() == row_by_row_csv(header, tables).encode()
+
+
+class SliceLog:
+    """A stand-in surface whose time slices record when they are read."""
+
+    def __init__(self, values, read):
+        self.slices, self.read = values, read
+
+    @property
+    def values(self):
+        for k, values in enumerate(self.slices):
+            self.read.append(k)
+            yield values
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_surface_matches_the_row_by_row_writer_one_slice_at_a_time(m, tmp_path):
+    from types import SimpleNamespace
+
+    t = np.array([-np.inf, np.nan, -0.0, 5e-324, 0.5])
+    x = np.concatenate([SPECIAL, [1.0, 2.5]])
+    grid = SimpleNamespace(t=t, x=x, n_x=x.size, m=m)
+    rng = np.random.default_rng(m)
+    surfaces = [rng.standard_normal((t.size, x.size, m)) * 10.0 ** rng.integers(-300, 300, (t.size, x.size, m))
+                for _ in range(m)]
+    surfaces[0][1, 2] = [np.inf, np.nan, -0.0][:m]
+    read = []
+    chunks = cli._surface(grid, *(SliceLog(s, read) for s in surfaces))
+    assert read == []
+    first = next(chunks)
+    assert read == [0] * m  # one slice of each surface, none beyond it
+    path = tmp_path / "surface.csv"
+    header = ["t", "x", "j", *(f"v{i}" for i in range(m))]
+    cli._write_csv(path, header, [first, *chunks])
+    assert read == [k for k in range(t.size) for _ in range(m)]
+    blocks = [[t[k], *(s[k].ravel() for s in surfaces)] for k in range(t.size)]
+    keys = [np.repeat(x, m), np.tile(np.arange(1, m + 1), x.size)]
     assert path.read_bytes() == row_by_row_csv(header, blocks, keys).encode()
 
 

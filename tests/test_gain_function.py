@@ -169,14 +169,13 @@ def test_coupling_stability_guard():
         g_pde(FIG, grid)
 
 
-def closed_form_gain(model, t, x):
-    """The single-regime gain x + integral over y > log x of e^y P(M > y), M the log running maximum on [t, T].
+def running_max_moment(nu, sigma, tau, x):
+    """E max(x, e^M) = x + integral over y > log x of e^y P(M > y), M the running maximum over [0, tau]
+    of a Brownian motion with drift nu and volatility sigma.
 
-    With nu = mu - sigma^2 / 2 and tau = T - t, the reflection principle gives
+    The reflection principle gives
     P(M > y) = 1 - Phi((y - nu tau) / (sigma sqrt tau)) + e^(2 nu y / sigma^2) Phi((-y - nu tau) / (sigma sqrt tau)).
     """
-    mu, sigma = float(model.mu[0]), float(model.sigma[0])
-    nu, tau = mu - 0.5 * sigma**2, model.T - t
     s = sigma * np.sqrt(tau)
 
     def tail(y):
@@ -184,6 +183,12 @@ def closed_form_gain(model, t, x):
 
     lo = np.log(x)
     return x + quad(lambda y: np.exp(y) * tail(y), lo, lo + 40.0 * s, epsabs=1e-12, epsrel=1e-12)[0]
+
+
+def closed_form_gain(model, t, x):
+    """The single-regime gain: M is the log running maximum of the asset on [t, T], drift mu - sigma^2 / 2."""
+    mu, sigma = float(model.mu[0]), float(model.sigma[0])
+    return running_max_moment(mu - 0.5 * sigma**2, sigma, model.T - t, x)
 
 
 def test_lattice_gain_matches_the_closed_form_at_probes():
@@ -199,3 +204,13 @@ def test_lattice_gain_matches_the_closed_form_at_probes():
         errors.append(np.abs(lattice - exact))
     assert errors[0].max() <= pinned.TOL_SCHEME
     assert errors[0].max() / errors[1].max() >= pinned.RICHARDSON_MIN_FACTOR
+
+
+def test_golden_terminal_ratio_matches_the_closed_form():
+    # J(0, 1) = E max over s <= T of Y_s / Y_T.  Read backward from T, log Y_s - log Y_T is a
+    # Brownian motion with drift sigma^2 / 2 - mu, so J is the running-maximum moment at x = 1.
+    mu, sigma = float(SINGLE.mu[0]), float(SINGLE.sigma[0])
+    exact = running_max_moment(0.5 * sigma**2 - mu, sigma, SINGLE.T, 1.0)
+    assert exact == pytest.approx(1.28922446, abs=1e-8)
+    gold, gold_se = pinned.GOLDEN_J_SINGLE  # 1.55 standard errors above the closed form
+    assert abs(gold - exact) <= 3.0 * gold_se

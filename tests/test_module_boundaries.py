@@ -8,9 +8,10 @@ beside it.  A name in a module's ``__all__`` that no library code reads is
 API nobody runs: it belongs in the tests that use it, or nowhere.  An
 import that is not relative names the standard library, numpy or PyYAML,
 so no test-only package reaches the run path, and only the stepper calls
-foreign code through ``ctypes``.  All four checks read the
+foreign code through ``ctypes``.  Those four checks read the
 source with ``ast``, so they cover every module in ``src/ultmax`` whether
-or not it is imported.
+or not it is imported.  No library line is longer than 120 characters, so
+code crammed onto fewer lines does not count as less code.
 """
 
 import ast
@@ -103,3 +104,12 @@ def test_every_export_has_a_run_time_reader():
     assert sum(map(bool, exported.values())) > 10
     unread = {module: sorted(names - read) for module, names in exported.items()}
     assert {module: names for module, names in unread.items() if names} == {}
+
+
+MAX_LINE = 120
+
+
+def test_no_library_line_is_longer_than_120_characters():
+    long = [f"{path.name}:{n}" for path in sorted(SRC.glob("*.py"))
+            for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1) if len(line) > MAX_LINE]
+    assert long == []
