@@ -7,17 +7,7 @@ per-regime stopping boundaries, verifies the boundary's integral equation,
 and evaluates stopping policies by simulation.
 """
 
-from .model import (
-    BadGeneratorRow,
-    ExerciseRegime,
-    ModelError,
-    NonPositiveHorizon,
-    NonPositiveVolatility,
-    NotApplicable,
-    RegimeModel,
-    classify,
-    validate,
-)
+from .model import ExerciseRegime, ModelError, NotApplicable, RegimeModel, classify, validate
 from .grids import Grid, Surface, default_z_max, truncation_tail_bound
 from .markov import transition_matrix
 from .stepping import GridTooCoarse

@@ -147,7 +147,7 @@ _SECTIONS = {key.split(".")[0] for key in CONFIG_KEYS if "." in key}
 
 
 def _numbers(key: str, value) -> None:
-    """Refuse a model list entry, at any depth, that is no number (a bool, text, a mapping) or no double holds."""
+    """Refuse a list entry, at any depth, that is no number (a bool, text, a mapping) or no double holds."""
     for entry in value:
         if isinstance(entry, list):
             _numbers(key, entry)
@@ -262,9 +262,11 @@ def _policy(entry, m: int):
         return entry if entry == "boundary" else getattr(Policy, entry)()
     if not isinstance(entry, dict) or list(entry) != ["threshold"]:
         raise ConfigError(f"eval.policies: unknown policy {entry!r}")
+    levels = entry["threshold"]
+    _numbers(f"eval.policies: {entry!r}", levels if isinstance(levels, list) else [levels])
     try:
-        policy = Policy.fixed_threshold(entry["threshold"])
-    except (TypeError, ValueError) as exc:
+        policy = Policy.fixed_threshold(levels)
+    except ValueError as exc:
         raise ConfigError(f"eval.policies: {entry!r}: {exc}") from exc
     if policy.levels.shape != (m,):
         raise ConfigError(f"eval.policies: {entry!r}: need one threshold level per regime")
@@ -295,8 +297,9 @@ class RunInputs:
         try:
             n_t = pinned.FIGURE_N_T if figure else s["grid.n_t"]
             self.grid = Grid.for_model(self.model, n_x=s["grid.n_x"], n_t=n_t, z_max=s["grid.z_max"])
-        except ValueError as exc:  # n_x and n_t are checked above, so it is z_max
-            raise ConfigError(f"grid.z_max: {exc}") from exc
+        except ValueError as exc:  # n_x and n_t are checked above, so it is the time step or z_max
+            key = "model.horizon" if str(exc).startswith("horizon") else "grid.z_max"
+            raise ConfigError(f"{key}: {exc}") from exc
         x_probe = max(x for _, x, _ in pinned.PROBE_POINTS)
         if subcommand == "gcheck" and self.grid.z_max < np.log(x_probe):  # np.interp would clamp at z_max
             raise ConfigError(f"grid.z_max: z_max = {self.grid.z_max:g} is too small for gcheck: its probe level "

@@ -100,6 +100,8 @@ class Grid:
             raise ValueError(f"z_max = {zm:g} is too large: exp(z_max) overflows")
         if (zm / (n_x - 1)) ** 2 < np.finfo(float).tiny:
             raise ValueError(f"z_max = {zm:g} is too small: the grid spacing squared underflows")
+        if model.T / n_t < np.finfo(float).tiny:
+            raise ValueError(f"horizon = {model.T:g} over n_t = {n_t} steps is too small: the time step underflows")
         if zm / (n_x - 1) >= 2.0:  # the far edge's ghost factor is 1 / (1 - dz / 2)
             raise ValueError(f"z_max = {zm:g} over n_x - 1 = {n_x - 1} steps: the spacing must be below 2")
         return cls(np.linspace(0.0, zm, n_x), np.linspace(0.0, model.T, n_t + 1), model.m)

@@ -3,7 +3,8 @@
 A model is a finite set of regimes, each with a drift and a volatility,
 switched by a continuous-time Markov chain with generator matrix Q, over
 a finite horizon T.  Everything downstream (lattice solvers, simulators)
-assumes the invariants enforced by :func:`validate`.
+assumes the invariants enforced by :func:`validate`, which refuses a model
+with one error type, :class:`ModelError`.
 """
 
 from __future__ import annotations
@@ -18,9 +19,6 @@ __all__ = [
     "ExerciseRegime",
     "ModelError",
     "NotApplicable",
-    "NonPositiveVolatility",
-    "BadGeneratorRow",
-    "NonPositiveHorizon",
     "validate",
     "classify",
 ]
@@ -36,23 +34,11 @@ LOG_SCALE_MAX = float(np.log(np.finfo(float).max))
 
 
 class ModelError(ValueError):
-    """Base class for model validation failures."""
+    """A model that fails :func:`validate`; the message names the entry at fault."""
 
 
 class NotApplicable(RuntimeError):
     """A check whose drift-sign precondition does not hold for this model."""
-
-
-class NonPositiveVolatility(ModelError):
-    pass
-
-
-class BadGeneratorRow(ModelError):
-    pass
-
-
-class NonPositiveHorizon(ModelError):
-    pass
 
 
 class ExerciseRegime(enum.Enum):
@@ -109,50 +95,46 @@ ValidatedModel = RegimeModel
 def validate(model: RegimeModel) -> ValidatedModel:
     """Check all structural invariants and return the model unchanged.
 
-    Raises
-    ------
-    NonPositiveVolatility, BadGeneratorRow, NonPositiveHorizon
-        on the corresponding violations; plain ValueError on shape mismatch,
-        a non-finite entry, a sigma whose square overflows, or a |mu| T or
-        sigma^2 T whose exponential overflows.
+    Raises ModelError, whose message names the entry at fault, on the first
+    invariant that fails.
     """
     m = model.m
     if m < 1:
-        raise ValueError("need at least one regime")
+        raise ModelError("need at least one regime")
     if model.mu.ndim != 1:
-        raise ValueError(f"mu must be a flat list, got shape {model.mu.shape}")
+        raise ModelError(f"mu must be a flat list, got shape {model.mu.shape}")
     if model.sigma.shape != (m,):
-        raise ValueError(f"sigma must have length {m}, got {model.sigma.shape}")
+        raise ModelError(f"sigma must have length {m}, got {model.sigma.shape}")
     if model.Q.shape != (m, m):
-        raise ValueError(f"Q must be ({m}, {m}), got {model.Q.shape}")
+        raise ModelError(f"Q must be ({m}, {m}), got {model.Q.shape}")
     for arr, name in ((model.mu, "mu"), (model.sigma, "sigma"), (model.Q, "Q")):
         if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{name} contains non-finite entries")
+            raise ModelError(f"{name} contains non-finite entries")
     if np.any(model.sigma > SIGMA_MAX):
         bad = int(np.argmax(model.sigma > SIGMA_MAX))
-        raise ValueError(f"sigma[{bad}] = {model.sigma[bad]} is too large: its square overflows")
+        raise ModelError(f"sigma[{bad}] = {model.sigma[bad]} is too large: its square overflows")
     if not np.isfinite(model.T) or model.T <= 0.0:
-        raise NonPositiveHorizon(f"horizon must be positive, got {model.T}")
+        raise ModelError(f"horizon must be positive, got {model.T}")
     for name, scale in (("|mu[{}]|", np.abs(model.mu)), ("sigma[{}]^2", model.sigma**2)):
         if np.any(scale > LOG_SCALE_MAX / model.T):  # the product itself may overflow
             bad = int(np.argmax(scale > LOG_SCALE_MAX / model.T))
-            raise ValueError(f"{name.format(bad)} * horizon = {scale[bad]:g} * {model.T:g} exceeds "
+            raise ModelError(f"{name.format(bad)} * horizon = {scale[bad]:g} * {model.T:g} exceeds "
                              f"{LOG_SCALE_MAX:.6g}: its exponential overflows")
     if np.any(model.sigma <= 0.0):
         bad = int(np.argmax(model.sigma <= 0.0))
-        raise NonPositiveVolatility(f"sigma[{bad}] = {model.sigma[bad]} is not positive")
+        raise ModelError(f"sigma[{bad}] = {model.sigma[bad]} is not positive")
 
     off_diag = model.Q - np.diag(np.diag(model.Q))
     if np.any(off_diag < 0.0):
         i, j = np.unravel_index(int(np.argmin(off_diag)), model.Q.shape)
-        raise BadGeneratorRow(f"negative off-diagonal rate Q[{i},{j}] = {model.Q[i, j]}")
+        raise ModelError(f"negative off-diagonal rate Q[{i},{j}] = {model.Q[i, j]}")
     if np.any(np.diag(model.Q) > 0.0):  # the row sum may pass ROW_SUM_TOL, but -q_jj is a negative rate
         j = int(np.argmax(np.diag(model.Q) > 0.0))
-        raise BadGeneratorRow(f"positive diagonal rate Q[{j},{j}] = {model.Q[j, j]}")
+        raise ModelError(f"positive diagonal rate Q[{j},{j}] = {model.Q[j, j]}")
     row_sums = model.Q.sum(axis=1)
     if np.any(np.abs(row_sums) > ROW_SUM_TOL):
         bad = int(np.argmax(np.abs(row_sums)))
-        raise BadGeneratorRow(f"row {bad} of Q sums to {row_sums[bad]:.3e}, expected 0")
+        raise ModelError(f"row {bad} of Q sums to {row_sums[bad]:.3e}, expected 0")
     return model
 
 

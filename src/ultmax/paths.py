@@ -34,6 +34,7 @@ import numpy as np
 
 from .markov import derive_rng
 from .model import ValidatedModel
+from .stepping import GridTooCoarse
 
 __all__ = [
     "embedded_jump_cdf",
@@ -168,7 +169,8 @@ def _advance_block(model, times, j0, n, seed, block_index, bridge_max, on_step=N
         while idx.size:
             rounds += 1
             if rounds > _MAX_JUMP_ROUNDS:
-                raise RuntimeError("regime jump loop did not terminate; check Q scaling")
+                raise GridTooCoarse(f"regime jump loop did not terminate in {_MAX_JUMP_ROUNDS} rounds of a step of "
+                                    f"dt = {dt:g}, max |q_jj| * dt = {rates.max() * dt:g}; check Q scaling")
             sub = state[idx]
             holding, jumped_sub, jidx, targets = _step_jumps(rates, cdf, sub, remaining, rng)
             coefs = _coefficients(mu[sub], sigma[sub], np.where(jumped_sub, holding, remaining))

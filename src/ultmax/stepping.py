@@ -61,7 +61,8 @@ class GridTooCoarse(ValueError):
     (the implicit row's sum 1 - dt * r is then no longer positive, and the
     step no longer keeps a positive solution positive), or when the far
     edge's dt * ((D + a) * g / dz + r) reaches it too (that row's diagonal is
-    then no longer positive).
+    then no longer positive).  The path engine raises it too, when a step's
+    regime jumps outrun its round limit.
     """
 
 

@@ -2,7 +2,10 @@
 
 The regret of a stopping rule is the expected ratio of the global running
 maximum over the whole horizon to the level at which the rule stopped; the
-optimal rule minimizes it.  Policies read only current information: the
+optimal rule minimizes it.  Every policy here stops the first time the ratio
+process X_t reaches a level b(t, J_t): immediate stopping is level 1,
+stopping at maturity level inf, a fixed threshold one level per regime, and
+the solved boundary b itself.  Policies read only current information: the
 stopping test at a grid time uses the ratio process and regime at that time,
 and boundary lookups use the latest solver time node not after the current
 time (never anticipating).
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,30 +32,34 @@ __all__ = ["Policy", "RegretEstimate", "PairedComparison", "compare_policies"]
 
 @dataclass(frozen=True)
 class Policy:
-    """A stopping rule: immediate, at maturity, boundary, or fixed thresholds."""
+    """A stopping rule and its level table b(t, j).
+
+    ``levels`` is a Boundary, read through ``levels_at``, or an array of
+    levels: 0-d for one level in every regime (1 stops at once, as every
+    path starts at ratio 1; inf waits for the horizon), or one per regime.
+    """
 
     kind: str
-    boundary: Optional[Boundary] = None
-    levels: Optional[np.ndarray] = None
+    levels: Boundary | np.ndarray
 
     @classmethod
     def immediate(cls) -> "Policy":
-        return cls("immediate")
+        return cls("immediate", np.array(1.0))
 
     @classmethod
     def at_maturity(cls) -> "Policy":
-        return cls("at_maturity")
+        return cls("at_maturity", np.array(np.inf))
 
     @classmethod
     def from_boundary(cls, boundary: Boundary) -> "Policy":
-        return cls("boundary", boundary=boundary)
+        return cls("boundary", boundary)
 
     @classmethod
     def fixed_threshold(cls, levels) -> "Policy":
         levels = np.atleast_1d(np.asarray(levels, dtype=float))
         if not np.all(levels >= 1.0):  # nan fails too
             raise ValueError("threshold levels must be at least 1")
-        return cls("fixed_threshold", levels=levels)
+        return cls("fixed_threshold", levels)
 
     def name(self) -> str:
         if self.kind == "fixed_threshold":
@@ -79,37 +86,38 @@ class PairedComparison:
 
 
 def _stop_log_levels(policy: Policy, model: ValidatedModel, times: np.ndarray) -> np.ndarray:
-    """Per (step, regime) log threshold on the ratio process; inf = never.
-
-    Immediate stops at step 0 regardless; at-maturity never stops early; both
-    are encoded as thresholds so every policy runs through one code path.
-    The final step always stops.
-    """
-    n_steps = len(times) - 1
-    thr = np.full((n_steps + 1, model.m), np.inf)
-    if policy.kind == "immediate":
-        thr[0] = -np.inf
-    elif policy.kind == "at_maturity":
-        pass
-    elif policy.kind == "fixed_threshold":
-        if policy.levels.shape[0] != model.m:
-            raise ValueError("need one threshold level per regime")
-        thr[:] = np.log(policy.levels)[None, :]
-    elif policy.kind == "boundary":
-        b = policy.boundary
-        if abs(b.grid.t[-1] - times[-1]) > 1e-12:
+    """Per (step, regime) log of the policy's level on the ratio process; inf = never, and the final step stops."""
+    levels = policy.levels
+    if isinstance(levels, Boundary):
+        if abs(levels.grid.t[-1] - times[-1]) > 1e-12:
             raise ValueError("boundary horizon does not match the model horizon")
-        with np.errstate(divide="ignore"):
-            thr[:] = np.log(b.levels_at(times))
-    else:
-        raise ValueError(f"unknown policy kind {policy.kind!r}")
-    thr[n_steps] = -np.inf
+        levels = levels.levels_at(times)
+    elif levels.shape not in ((), (model.m,)):
+        raise ValueError("need one threshold level per regime")
+    with np.errstate(divide="ignore"):
+        thr = np.log(np.broadcast_to(levels, (len(times), model.m)))
+    thr[-1] = -np.inf
     return thr
 
 
-def _regret_means(model, policies, j0, n_paths, n_steps, seed, bridge_max):
-    """One streaming pass: (mean, SE) of each policy's regret, then of every
-    pairwise difference in ``combinations`` order."""
+def compare_policies(
+    model: ValidatedModel,
+    policies: Sequence[Policy],
+    j0: int,
+    n_paths: int,
+    n_steps: int,
+    seed,
+    bridge_max: bool = True,
+):
+    """Evaluate one or more policies on shared paths; returns (estimates, paired diffs).
+
+    Each starts at t = 0, ratio 1, regime j0.  One streaming pass gives the
+    (mean, SE) of each policy's regret, then of every pairwise difference.
+    Estimates come back sorted by mean regret (best first); the paired table
+    covers every pair once.
+    """
+    if not policies:
+        raise ValueError("need at least one policy")
     times = np.linspace(0.0, model.T, n_steps + 1)
     thresholds = [_stop_log_levels(p, model, times) for p in policies]
     P = len(policies)
@@ -135,30 +143,8 @@ def _regret_means(model, policies, j0, n_paths, n_steps, seed, bridge_max):
 
         return on_step, finish
 
-    return mean_se(map_blocks(model, times, j0, n_paths, seed, bridge_max, block), n_paths)
-
-
-def compare_policies(
-    model: ValidatedModel,
-    policies: Sequence[Policy],
-    j0: int,
-    n_paths: int,
-    n_steps: int,
-    seed,
-    bridge_max: bool = True,
-):
-    """Evaluate one or more policies on shared paths; returns (estimates, paired diffs).
-
-    Each starts at t = 0, ratio 1, regime j0.  Estimates come back sorted by
-    mean regret (best first); the paired table covers every pair once.
-    """
-    if not policies:
-        raise ValueError("need at least one policy")
-    means = _regret_means(model, list(policies), j0, n_paths, n_steps, seed, bridge_max)
+    means = mean_se(map_blocks(model, times, j0, n_paths, seed, bridge_max, block), n_paths)
     estimates = [RegretEstimate(*ms, n_paths, pol) for ms, pol in zip(means, policies)]
-    pairs = [
-        PairedComparison(a.name(), b.name(), *ms)
-        for ms, (a, b) in zip(means[len(policies):], combinations(policies, 2))
-    ]
+    pairs = [PairedComparison(a.name(), b.name(), *ms) for ms, (a, b) in zip(means[P:], combinations(policies, 2))]
     order = np.argsort([e.mean for e in estimates], kind="stable")
     return [estimates[i] for i in order], pairs

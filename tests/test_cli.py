@@ -208,6 +208,45 @@ def test_far_edge_past_the_time_step_exits_3(tmp_path, capsys):
     assert not list(out.iterdir())
 
 
+def test_regime_jumps_past_the_round_limit_exit_3(tmp_path, capsys):
+    # max |q_jj| * dt = 1e8 * 0.002 = 2e5 jumps a path step outrun the path engine's 100 000 rounds.  With no
+    # boundary policy no lattice refuses the run first, and eval ended in a RuntimeError's traceback.
+    cfg = tmp_path / "jumpy.yaml"
+    cfg.write_text("model: {mu: [0.15, 0.05], sigma: [0.5, 0.3], horizon: 0.5,\n"
+                   "        q: [[-1.0e8, 1.0e8], [1.0e8, -1.0e8]]}\n"
+                   "grid: {n_x: 60, n_t: 30}\nmc: {n_paths: 10, n_steps: 250, seed: 1}\n"
+                   'eval: {policies: ["immediate", "at_maturity"]}\n')
+    out = tmp_path / "jumpy"
+    assert run_cli("eval", cfg, out, ["--threads", "1"]) == 3
+    assert capsys.readouterr().err == (
+        "solver error: regime jump loop did not terminate in 100000 rounds of a step of dt = 0.002, "
+        "max |q_jj| * dt = 200000; check Q scaling\n")
+    assert not list(out.iterdir())
+
+
+UNDERFLOW_YAML = """\
+model: {{mu: [0.15, 0.05], sigma: [0.5, 0.3], q: [[-2.5, 2.5], [2.0, -2.0]], horizon: {horizon}}}
+grid: {{n_x: 60, n_t: 200, z_max: 2.0}}
+mc: {{n_paths: 2000, n_steps: 20, seed: 1}}
+volterra: {{n_quad: 8, report_every: 10}}
+"""
+
+
+@pytest.mark.parametrize("horizon", ["1e-322", "1e-321"])
+@pytest.mark.parametrize("sub", ["gcheck", "solve", "boundary", "volterra", "eval"])
+def test_underflowing_time_step_exits_2_naming_the_horizon(tmp_path, capsys, sub, horizon):
+    # horizon / n_t is below the smallest normal double: on dt = 0, gcheck divided by zero, volterra
+    # rounded a nan, boundary warned and solve wrote dt=0; on dt = 4.9e-324 volterra warned.
+    cfg = tmp_path / "brief.yaml"
+    cfg.write_text(UNDERFLOW_YAML.format(horizon=horizon))
+    out = tmp_path / "brief"
+    assert run_cli(sub, cfg, out) == 2  # pytest.ini makes a RuntimeWarning an error
+    assert capsys.readouterr().err == (
+        f"config error: model.horizon: horizon = {float(horizon):g} over n_t = 200 steps is too small: "
+        "the time step underflows\n")
+    assert not out.exists()
+
+
 def test_overflowing_lattice_coefficients_exit_3(config, tmp_path):
     # sigma^2 T = 684.5 is below the bound on its exponential and dz^2 = 4e-308 is
     # a normal double (both are config errors beyond that), but sigma^2 / dz^2
@@ -322,6 +361,12 @@ def test_csv_number_format_is_12_significant_digits(config, tmp_path):
         ("eval", '"at_maturity"]', '"at_maturity", {threshold: [1.05, 1.05], extra: 3}]', "eval.policies"),
         ("eval", '"at_maturity"]', '"at_maturity", {threshold: [.nan, .nan]}]', "eval.policies"),
         ("eval", '"at_maturity"]', '"at_maturity", {threshold: [[1.05, 1.05], [1.05, 1.05]]}]', "eval.policies"),
+        ("eval", '"at_maturity"]', '"at_maturity", {threshold: [true, 1.1]}]',
+         "eval.policies: {'threshold': [True, 1.1]}: entries must be numbers, got bool"),
+        ("eval", '"at_maturity"]', '"at_maturity", {threshold: ["1.05", 1.1]}]',
+         "eval.policies: {'threshold': ['1.05', 1.1]}: entries must be numbers, got str"),
+        ("eval", '"at_maturity"]', '"at_maturity", {threshold: [1' + "0" * 400 + ', 1.1]}]',
+         "eval.policies: {'threshold': [1" + "0" * 400 + ", 1.1]}: an integer entry is too large for a double"),
         ("solve", "mu: [0.15, 0.05]", "mu: [[0.15], [0.05]]", "model: mu must be a flat list"),
         ("solve", "mu: [0.15, 0.05]", "mu: [{a: 1}, 0.05]", "model.mu: entries must be numbers, got dict"),
         ("solve", "mu: [0.15, 0.05]", "mu: [true, 0.05]", "model.mu: entries must be numbers, got bool"),
@@ -346,8 +391,9 @@ def test_csv_number_format_is_12_significant_digits(config, tmp_path):
     ids=[
         "n_x_text", "report_every_0", "n_quad_0", "bridge_max_text", "threshold_count", "no_policies",
         "z_max_nan", "z_max_inf", "seed_negative", "tol_abs_nan", "eps_sign_nan", "sigma_square_overflows",
-        "tol_abs_inf", "eps_sign_inf", "threshold_extra_key", "threshold_nan", "threshold_nested", "mu_nested",
-        "mu_dict", "mu_bool", "sigma_text", "q_dict", "mu_exp_overflows", "mu_exp_overflows_z_max_set",
+        "tol_abs_inf", "eps_sign_inf", "threshold_extra_key", "threshold_nan", "threshold_nested",
+        "threshold_bool", "threshold_text", "threshold_huge_int", "mu_nested", "mu_dict", "mu_bool", "sigma_text",
+        "q_dict", "mu_exp_overflows", "mu_exp_overflows_z_max_set",
         "horizon_exp_overflows", "sigma_exp_overflows", "z_max_exp_overflows", "z_max_spacing_underflows",
         "mu_huge_int", "horizon_huge_int", "q_positive_diagonal", "spacing_not_below_2",
     ],

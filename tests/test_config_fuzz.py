@@ -1,9 +1,10 @@
 """Config fuzzing: configs drawn from ``cli.CONFIG_KEYS`` run through every subcommand.
 
 Each key is absent, valid, or a value from ``MENU`` (nan, +-inf, 0, its
-minimum - 1, 1e300, 1e-300, text, a bool, a mapping or a nested list).  A
-model list has 1-3 regimes, and when its key is drawn from the menu, it is a
-menu value or each entry is valid or from the menu in turn.  At most three
+minimum - 1, 1e300, 1e-300, the least subnormal 5e-324, text, a bool, a
+mapping or a nested list).  A model list has 1-3 regimes, and when its key is
+drawn from the menu, it is a menu value or each entry is valid or from the
+menu in turn.  At most three
 keys per config take a menu value and at most two are absent, and often none
 is, so many configs get past the checks and into the numerics.  Size keys are
 capped (``n_x`` <= 12, ``n_t`` <= 6, ``n_paths`` <= 200, ``n_steps`` <= 4,
@@ -12,7 +13,8 @@ and the horizon are both valid, half the configs make one volatility large,
 sigma^2 * T from 650 to 709 (the model refuses it above 709.78, the log of the
 largest double), with a ``z_max`` of at most 2 so that the grid spacing stays
 below 2: the squares of such a model's largest ratios overflow.  Every run
-must exit 0, 2, 3 or 4, with no exception and no RuntimeWarning.
+must exit 0, 2, 3 or 4, with no exception and no RuntimeWarning; the explicit
+example is a horizon whose time step underflows to 0.
 """
 
 import math
@@ -21,11 +23,11 @@ import warnings
 from pathlib import Path
 
 import yaml
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ultmax import cli
 
-MENU = [math.nan, math.inf, -math.inf, 0, 1e300, 1e-300, "text", True, {"a": 1}, [[1.0]]]
+MENU = [math.nan, math.inf, -math.inf, 0, 1e300, 1e-300, 5e-324, "text", True, {"a": 1}, [[1.0]]]
 
 POLICIES = ["boundary", "immediate", "at_maturity"]
 
@@ -103,6 +105,8 @@ def configs(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(cfg=configs())
+@example(cfg={"model": {"mu": [0.15, 0.05], "sigma": [0.5, 0.3], "q": [[-2.5, 2.5], [2.0, -2.0]], "horizon": 5e-324},
+              "grid": {"n_x": 12, "n_t": 6}, "mc": {"n_paths": 20, "n_steps": 4, "seed": 1}, "outputs": "out"})
 def test_every_subcommand_exits_with_a_known_code_and_no_warning(cfg):
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -2,15 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ultmax.model import (
-    BadGeneratorRow,
-    ExerciseRegime,
-    NonPositiveHorizon,
-    NonPositiveVolatility,
-    RegimeModel,
-    classify,
-    validate,
-)
+from ultmax.model import ExerciseRegime, ModelError, RegimeModel, classify, validate
 
 FIG_Q = [[-2.5, 2.5], [2.0, -2.0]]
 
@@ -27,34 +19,34 @@ def test_single_regime_validates():
 
 
 def test_bad_generator_row_sum():
-    with pytest.raises(BadGeneratorRow):
+    with pytest.raises(ModelError, match=r"^row 0 of Q sums to -5\.000e-01, expected 0$"):
         validate(RegimeModel(mu=[0.1, 0.1], sigma=[0.3, 0.3], Q=[[-1.0, 0.5], [2.0, -2.0]], T=1.0))
 
 
 def test_negative_off_diagonal_rate():
-    with pytest.raises(BadGeneratorRow):
+    with pytest.raises(ModelError, match=r"^negative off-diagonal rate Q\[0,1\] = -0\.5$"):
         validate(RegimeModel(mu=[0.1, 0.1], sigma=[0.3, 0.3], Q=[[0.5, -0.5], [1.0, -1.0]], T=1.0))
 
 
 def test_nonpositive_volatility():
-    with pytest.raises(NonPositiveVolatility):
+    with pytest.raises(ModelError, match=r"^sigma\[0\] = 0\.0 is not positive$"):
         validate(RegimeModel(mu=[0.1], sigma=[0.0], Q=[[0.0]], T=1.0))
 
 
 def test_nonpositive_horizon():
-    with pytest.raises(NonPositiveHorizon):
+    with pytest.raises(ModelError, match=r"^horizon must be positive, got 0\.0$"):
         validate(RegimeModel(mu=[0.1], sigma=[0.3], Q=[[0.0]], T=0.0))
 
 
 def test_shape_mismatch_is_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ModelError, match=r"^sigma must have length 2, got \(1,\)$"):
         validate(RegimeModel(mu=[0.1, 0.2], sigma=[0.3], Q=FIG_Q, T=1.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ModelError, match=r"^Q must be \(2, 2\), got \(1, 1\)$"):
         validate(RegimeModel(mu=[0.1, 0.2], sigma=[0.3, 0.3], Q=[[0.0]], T=1.0))
 
 
 def test_nonfinite_entries_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ModelError, match=r"^mu contains non-finite entries$"):
         validate(RegimeModel(mu=[np.nan, 0.1], sigma=[0.3, 0.3], Q=FIG_Q, T=1.0))
 
 

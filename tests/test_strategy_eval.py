@@ -35,7 +35,7 @@ def reference_regrets(model, policy, j0, n_paths, n_steps, seed):
         tau_idx[:] = 0
     elif policy.kind == "boundary":
         hit = np.zeros(n, dtype=bool)
-        levels = policy.boundary.levels_at(bundle.times)
+        levels = policy.levels.levels_at(bundle.times)
         for k in range(bundle.n_steps + 1):
             now = (x[:, k] >= levels[k, bundle.states[:, k]]) & ~hit
             tau_idx[now] = k
