@@ -35,7 +35,7 @@ from .boundary import NonMonotoneSlice, check_boundary_monotone, extract_boundar
 from .gain import dG_dx, g_monte_carlo, g_pde, h_level, lg
 from .grids import DEFAULT_N_T, DEFAULT_N_X, Grid, truncation_tail_bound
 from .markov import derive_seed
-from .model import ModelError, NotApplicable, RegimeModel, classify, validate
+from .model import ModelError, NotApplicable, RegimeModel, classify
 from .stepping import GridTooCoarse
 from .strategy import Policy, compare_policies
 from .value import solve_value
@@ -51,10 +51,6 @@ EXIT_PROPERTY = 4
 
 class ConfigError(ValueError):
     """Configuration problem, reported with its config-file location."""
-
-
-class PropertyCheckFailure(RuntimeError):
-    pass
 
 
 # How a number is spelled, by numpy dtype kind: integers and bools in full,
@@ -290,8 +286,8 @@ class RunInputs:
         self.settings = s = read_config(cfg, subcommand, overrides)
         figure = subcommand == "figure"
         try:
-            self.model = validate(pinned.make_model(pinned.FIGURE_MODEL) if figure else
-                                  RegimeModel(s["model.mu"], s["model.sigma"], s["model.q"], s["model.horizon"]))
+            self.model = (pinned.make_model(pinned.FIGURE_MODEL) if figure else
+                          RegimeModel(s["model.mu"], s["model.sigma"], s["model.q"], s["model.horizon"]))
         except (ModelError, ValueError) as exc:
             raise ConfigError(f"model: {exc}") from exc
         try:
@@ -514,20 +510,18 @@ def run(subcommand: str, args) -> int:
             raise ConfigError(f"{key}: cannot create output directory {out_dir}: {exc}") from exc
         keys, failure = COMMANDS[subcommand](out_dir, inputs)
         _write_kv(out_dir / "run_manifest.txt", {**_base_manifest(config_sha256, subcommand, inputs), **keys})
-        if failure is not None:
-            raise PropertyCheckFailure(failure)
-        return EXIT_OK
+        if failure is None:
+            return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (GridTooCoarse, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (PropertyCheckFailure, NonMonotoneSlice) as exc:
-        # NonMonotoneSlice means the surfaces were too noisy to extract a
-        # boundary at this tolerance: a property failure, not a config one.
-        print(f"property-check failure: {exc}", file=sys.stderr)
-        return EXIT_PROPERTY
+    except NonMonotoneSlice as exc:  # surfaces too noisy for a boundary at this tolerance: a property failure
+        failure = exc
+    print(f"property-check failure: {failure}", file=sys.stderr)
+    return EXIT_PROPERTY
 
 
 def _at_least(low: int):

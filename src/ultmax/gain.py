@@ -23,7 +23,7 @@ import numpy as np
 
 from .boundary import upper_set_start
 from .grids import Grid, Surface
-from .model import ValidatedModel
+from .model import RegimeModel
 from .paths import mean_se, moments, reduce_terminal
 from .stepping import BackwardStepper, Stencil
 
@@ -31,7 +31,7 @@ __all__ = ["g_monte_carlo", "gain_stencil", "g_pde", "dG_dx", "lg", "h_level"]
 
 
 def g_monte_carlo(
-    model: ValidatedModel,
+    model: RegimeModel,
     t: float,
     x: float,
     j: int,
@@ -62,12 +62,12 @@ def g_monte_carlo(
     return mean_se(reduce_terminal(model, t, j, n_paths, n_steps, seed, bridge_max, stats, x0=x), n_paths)[0]
 
 
-def gain_stencil(model: ValidatedModel, grid: Grid) -> Stencil:
+def gain_stencil(model: RegimeModel, grid: Grid) -> Stencil:
     """The gain's spatial operator: advection -(mu + sigma^2/2), reaction mu."""
     return Stencil(model, grid, advection=-(model.mu + 0.5 * model.sigma**2), reaction=model.mu)
 
 
-def g_pde(model: ValidatedModel, grid: Grid) -> Surface:
+def g_pde(model: RegimeModel, grid: Grid) -> Surface:
     """Backward finite-difference solve of the gain surface on the grid."""
     stepper = BackwardStepper(model, gain_stencil(model, grid))
     values = np.empty((grid.n_t + 1, grid.n_x, grid.m))
@@ -100,7 +100,7 @@ def dG_dx(surface_g: Surface, grid: Grid) -> Surface:
     return Surface(out, info={"clamp_fraction": clamped / d.size})
 
 
-def lg(surface_g: Surface, surface_dgdx: Surface, model: ValidatedModel, grid: Grid) -> Surface:
+def lg(surface_g: Surface, surface_dgdx: Surface, model: RegimeModel, grid: Grid) -> Surface:
     """Generator image LG = x sigma^2 dG/dx - mu G, pointwise.
 
     No re-differencing in time.  On the terminal slice the image is pinned to

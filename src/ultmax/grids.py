@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import LOG_SCALE_MAX, ValidatedModel
+from .model import LOG_SCALE_MAX, RegimeModel
 
 __all__ = ["Grid", "Surface", "default_z_max", "truncation_tail_bound"]
 
@@ -19,7 +19,7 @@ DEFAULT_N_X = 400
 DEFAULT_N_T = 200
 
 
-def default_z_max(model: ValidatedModel) -> float:
+def default_z_max(model: RegimeModel) -> float:
     """Domain truncation for the log-ratio grid.
 
     Four standard deviations of the most volatile regime over the horizon,
@@ -41,7 +41,7 @@ def _erfcx(z: float) -> float:
     return total / (z * math.sqrt(math.pi))
 
 
-def truncation_tail_bound(model: ValidatedModel, z_max: float) -> float:
+def truncation_tail_bound(model: RegimeModel, z_max: float) -> float:
     """Reflection-principle bound on P(sup log-path ratio > z_max), per regime.
 
     Treats each regime as if frozen for the whole horizon and reports the
@@ -84,7 +84,7 @@ class Grid:
     @classmethod
     def for_model(
         cls,
-        model: ValidatedModel,
+        model: RegimeModel,
         n_x: int = DEFAULT_N_X,
         n_t: int = DEFAULT_N_T,
         z_max: float | None = None,

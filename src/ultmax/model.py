@@ -2,9 +2,9 @@
 
 A model is a finite set of regimes, each with a drift and a volatility,
 switched by a continuous-time Markov chain with generator matrix Q, over
-a finite horizon T.  Everything downstream (lattice solvers, simulators)
-assumes the invariants enforced by :func:`validate`, which refuses a model
-with one error type, :class:`ModelError`.
+a finite horizon T.  A :class:`RegimeModel` is valid once built: its
+constructor runs :func:`validate`, the check of the invariants every solver
+and simulator assumes, which refuses a model with one error type, ModelError.
 """
 
 from __future__ import annotations
@@ -76,6 +76,7 @@ class RegimeModel:
         object.__setattr__(self, "sigma", np.atleast_1d(np.asarray(self.sigma, dtype=float)))
         object.__setattr__(self, "Q", np.atleast_2d(np.asarray(self.Q, dtype=float)))
         object.__setattr__(self, "T", float(self.T))
+        validate(self)
 
     @property
     def m(self) -> int:
@@ -87,12 +88,7 @@ class RegimeModel:
         return -np.diag(self.Q)
 
 
-# A validated model is just a RegimeModel that passed `validate`; Python has
-# no cheap branded types, so the alias documents intent at call sites.
-ValidatedModel = RegimeModel
-
-
-def validate(model: RegimeModel) -> ValidatedModel:
+def validate(model: RegimeModel) -> RegimeModel:
     """Check all structural invariants and return the model unchanged.
 
     Raises ModelError, whose message names the entry at fault, on the first
@@ -138,7 +134,7 @@ def validate(model: RegimeModel) -> ValidatedModel:
     return model
 
 
-def classify(model: ValidatedModel) -> ExerciseRegime:
+def classify(model: RegimeModel) -> ExerciseRegime:
     """Classify the stopping structure from drift/volatility comparisons.
 
     Non-strict inequalities on both sides: mu(j) = 0 counts as immediate

@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .markov import derive_rng
-from .model import ValidatedModel
+from .model import RegimeModel
 from .stepping import GridTooCoarse
 
 __all__ = [
@@ -125,6 +125,13 @@ def _log_update(ylog, ymaxlog, coefficient, rng, bridge_max, z=None, u=None, wor
         np.maximum(ymaxlog, ylog, out=ymaxlog)
 
 
+def _jump_loop(dt, rates) -> GridTooCoarse:
+    """The refusal of a step of length dt whose jumps outrun the round limit; map_blocks raises it up front where
+    min |q_jj| * dt > 1.5 x the limit, since every path then jumps at least Poisson(min |q_jj| * dt) times."""
+    return GridTooCoarse(f"regime jump loop did not terminate in {_MAX_JUMP_ROUNDS} rounds of a step of dt = {dt:g}, "
+                         f"max |q_jj| * dt = {rates.max() * dt:g}; check Q scaling")
+
+
 def _advance_block(model, times, j0, n, seed, block_index, bridge_max, on_step=None, x0=1.0):
     """Evolve one block of n paths; returns final (state, ylog, ymaxlog).
 
@@ -167,10 +174,8 @@ def _advance_block(model, times, j0, n, seed, block_index, bridge_max, on_step=N
 
         rounds = 0
         while idx.size:
-            rounds += 1
-            if rounds > _MAX_JUMP_ROUNDS:
-                raise GridTooCoarse(f"regime jump loop did not terminate in {_MAX_JUMP_ROUNDS} rounds of a step of "
-                                    f"dt = {dt:g}, max |q_jj| * dt = {rates.max() * dt:g}; check Q scaling")
+            if (rounds := rounds + 1) > _MAX_JUMP_ROUNDS:
+                raise _jump_loop(dt, rates)
             sub = state[idx]
             holding, jumped_sub, jidx, targets = _step_jumps(rates, cdf, sub, remaining, rng)
             coefs = _coefficients(mu[sub], sigma[sub], np.where(jumped_sub, holding, remaining))
@@ -198,6 +203,8 @@ def map_blocks(model, times, j0, n_paths, seed, bridge_max, block, x0=1.0):
     back in block order, so sums over them have a fixed reduction order.
     """
     sizes = [min(BLOCK_SIZE, n_paths - lo) for lo in range(0, n_paths, BLOCK_SIZE)]
+    if (outrun := np.diff(times)[model.jump_rates().min() * np.diff(times) > 1.5 * _MAX_JUMP_ROUNDS]).size:
+        raise _jump_loop(outrun[0], model.jump_rates())
 
     def run(b):
         on_step, finish = block(b * BLOCK_SIZE, sizes[b])
@@ -228,7 +235,7 @@ def mean_se(blocks, n) -> list[tuple[float, float]]:
 
 
 def reduce_terminal(
-    model: ValidatedModel,
+    model: RegimeModel,
     t0: float,
     j0: int,
     n_paths: int,

@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from .grids import Grid
-from .model import ValidatedModel
+from .model import RegimeModel
 from .markov import transition_matrix
 
 __all__ = ["BackwardStepper", "GridTooCoarse", "Stencil", "Tridiagonal", "COUPLING_DT_LIMIT", "REACTION_DT_LIMIT"]
@@ -174,7 +174,7 @@ class Stencil:
     """L on one grid, per regime: diffusion D = sigma^2 / 2, ``advection`` a, ``reaction`` r, ghost factor ``g_edge``
     and the far edge's ``edge_rate`` (D + a) g_edge / dz + r."""
 
-    def __init__(self, model: ValidatedModel, grid: Grid, advection, reaction):
+    def __init__(self, model: RegimeModel, grid: Grid, advection, reaction):
         self.grid = grid
         self.diffusion = 0.5 * model.sigma**2
         self.advection = np.asarray(advection, dtype=float)
@@ -216,7 +216,7 @@ class Stencil:
 class BackwardStepper:
     """Backward Euler stepper of one stencil: implicit per regime, split regime coupling."""
 
-    def __init__(self, model: ValidatedModel, stencil: Stencil):
+    def __init__(self, model: RegimeModel, stencil: Stencil):
         dt = stencil.grid.dt
         coupling = float(np.max(model.jump_rates())) * dt
         if coupling > COUPLING_DT_LIMIT:

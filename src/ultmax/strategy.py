@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .boundary import Boundary
-from .model import ValidatedModel
+from .model import RegimeModel
 from .paths import map_blocks, mean_se, moments
 
 __all__ = ["Policy", "RegretEstimate", "PairedComparison", "compare_policies"]
@@ -85,7 +85,7 @@ class PairedComparison:
     diff_se: float
 
 
-def _stop_log_levels(policy: Policy, model: ValidatedModel, times: np.ndarray) -> np.ndarray:
+def _stop_log_levels(policy: Policy, model: RegimeModel, times: np.ndarray) -> np.ndarray:
     """Per (step, regime) log of the policy's level on the ratio process; inf = never, and the final step stops."""
     levels = policy.levels
     if isinstance(levels, Boundary):
@@ -101,7 +101,7 @@ def _stop_log_levels(policy: Policy, model: ValidatedModel, times: np.ndarray) -
 
 
 def compare_policies(
-    model: ValidatedModel,
+    model: RegimeModel,
     policies: Sequence[Policy],
     j0: int,
     n_paths: int,

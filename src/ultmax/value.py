@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import Grid, Surface
-from .model import ValidatedModel
+from .model import RegimeModel
 from .stepping import BackwardStepper, Stencil
 
 __all__ = ["ValueSurfaces", "value_stencil", "solve_value", "discrete_generator_image"]
@@ -32,15 +32,15 @@ class ValueSurfaces:
     G: Surface
     F: Surface
     grid: Grid
-    model: ValidatedModel
+    model: RegimeModel
 
 
-def value_stencil(model: ValidatedModel, grid: Grid) -> Stencil:
+def value_stencil(model: RegimeModel, grid: Grid) -> Stencil:
     """The value solve's spatial operator: advection sigma^2/2 - mu, no reaction."""
     return Stencil(model, grid, advection=0.5 * model.sigma**2 - model.mu, reaction=np.zeros(model.m))
 
 
-def solve_value(model: ValidatedModel, grid: Grid, surface_g: Surface) -> ValueSurfaces:
+def solve_value(model: RegimeModel, grid: Grid, surface_g: Surface) -> ValueSurfaces:
     """Backward sweep with projection onto the obstacle V <= G."""
     stepper = BackwardStepper(model, value_stencil(model, grid))
     g = surface_g.values

@@ -27,7 +27,7 @@ import numpy as np
 
 from .boundary import Boundary
 from .markov import derive_seed
-from .model import ValidatedModel
+from .model import RegimeModel
 from .paths import map_blocks, mean_se, moments
 from .value import ValueSurfaces, discrete_generator_image
 
@@ -98,7 +98,7 @@ class VolterraReport:
 
 
 def volterra_residual(
-    model: ValidatedModel,
+    model: RegimeModel,
     surfaces: ValueSurfaces,
     boundary: Boundary,
     n_paths: int,

@@ -20,7 +20,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from ultmax import stepping
 from ultmax.boundary import Boundary
 from ultmax.grids import Surface
-from ultmax.model import NotApplicable, ValidatedModel
+from ultmax.model import NotApplicable, RegimeModel
 from ultmax.paths import map_blocks, mean_se, moments, reduce_terminal
 from ultmax.value import ValueSurfaces
 from ultmax.volterra import LVInterpolator
@@ -71,7 +71,7 @@ def simulate_paths(model, t0, j0, n_paths, n_steps, seed, bridge_max=False) -> P
 # The Monte Carlo estimators of the boundary equation's two terms, one point at a
 # time: the goldens in ultmax.pinned are defined as the values they give.
 def estimate_J(
-    model: ValidatedModel,
+    model: RegimeModel,
     t: float,
     x: float,
     j: int,
@@ -99,7 +99,7 @@ def estimate_J(
 
 
 def estimate_K(
-    model: ValidatedModel,
+    model: RegimeModel,
     surfaces: ValueSurfaces,
     boundary: Boundary,
     t: float,

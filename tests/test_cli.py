@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ultmax import cli
+from ultmax import cli, paths
 
 FIG_YAML = """\
 model:
@@ -224,6 +224,43 @@ def test_regime_jumps_past_the_round_limit_exit_3(tmp_path, capsys):
     assert not list(out.iterdir())
 
 
+def test_regime_jumps_past_the_round_limit_are_refused_before_any_path_moves(tmp_path, capsys, monkeypatch):
+    # Even the slower regime expects 1e8 * 0.002 = 2e5 > 1.5 x 100 000 jumps a step, so every path would reach
+    # the round guard: map_blocks refuses the run before any block starts, where each block ran to the guard.
+    def no_block(*args):
+        raise AssertionError("a block of paths was advanced")
+
+    monkeypatch.setattr(paths, "_advance_block", no_block)
+    cfg = tmp_path / "jumpy.yaml"
+    cfg.write_text("model: {mu: [0.15, 0.05], sigma: [0.5, 0.3], horizon: 0.5,\n"
+                   "        q: [[-1.0e8, 1.0e8], [1.0e8, -1.0e8]]}\n"
+                   "grid: {n_x: 60, n_t: 30}\nmc: {n_paths: 70000, n_steps: 250, seed: 1}\n"
+                   'eval: {policies: ["immediate", "at_maturity"]}\n')
+    out = tmp_path / "jumpy"
+    assert run_cli("eval", cfg, out) == 3
+    assert capsys.readouterr().err == (
+        "solver error: regime jump loop did not terminate in 100000 rounds of a step of dt = 0.002, "
+        "max |q_jj| * dt = 200000; check Q scaling\n")
+    assert not list(out.iterdir())
+
+
+def test_round_guard_refuses_a_step_the_up_front_rule_lets_start(tmp_path, capsys, monkeypatch):
+    # Regime 3 absorbs, so min |q_jj| * dt = 0 and map_blocks starts the blocks; regimes 1 and 2 still swap
+    # about 2e5 times a step, and the guard in the step loop stops the run at a round limit of 50.
+    monkeypatch.setattr(paths, "_MAX_JUMP_ROUNDS", 50)
+    cfg = tmp_path / "absorbing.yaml"
+    cfg.write_text("model: {mu: [0.15, 0.05, 0.1], sigma: [0.5, 0.3, 0.4], horizon: 0.5,\n"
+                   "        q: [[-1.0e8, 1.0e8, 0], [1.0e8, -1.0e8, 0], [0, 0, 0]]}\n"
+                   "grid: {n_x: 60, n_t: 30}\nmc: {n_paths: 10, n_steps: 250, seed: 1}\n"
+                   'eval: {policies: ["immediate", "at_maturity"]}\n')
+    out = tmp_path / "absorbing"
+    assert run_cli("eval", cfg, out, ["--threads", "1"]) == 3
+    assert capsys.readouterr().err == (
+        "solver error: regime jump loop did not terminate in 50 rounds of a step of dt = 0.002, "
+        "max |q_jj| * dt = 200000; check Q scaling\n")
+    assert not list(out.iterdir())
+
+
 UNDERFLOW_YAML = """\
 model: {{mu: [0.15, 0.05], sigma: [0.5, 0.3], q: [[-2.5, 2.5], [2.0, -2.0]], horizon: {horizon}}}
 grid: {{n_x: 60, n_t: 200, z_max: 2.0}}
@@ -298,7 +335,7 @@ def test_property_failures_exit_4(config, tmp_path, monkeypatch):
     # No organic trigger exists at sane settings (the projection yields
     # exactly clean upper sets), so exercise the exit-code contract directly.
     def boom(out_dir, inputs):
-        raise cli.PropertyCheckFailure("synthetic")
+        return {}, "synthetic"
 
     monkeypatch.setitem(cli.COMMANDS, "boundary", boom)
     assert run_cli("boundary", config, tmp_path / "p4") == 4
@@ -453,6 +490,30 @@ def test_repeated_config_key_exits_2_at_its_line(config, tmp_path, capsys, old, 
     assert err.startswith(f"config error: config parse error at {where}: ")
     assert f"found duplicate key '{key}'" in err
     assert not (tmp_path / "repeated").exists()
+
+
+@pytest.mark.parametrize(
+    "text, message, detail",
+    [
+        (FIG_YAML.replace("start_regime: 1", "start_regime: 3"),
+         "eval.start_regime: regime label 3 outside 1..2", ""),
+        ("- 1\n- 2\n", "config root must be a mapping", ""),
+        ("model: 5\n", "model: expected a mapping, got int", ""),
+        (None, "cannot read config file {path}: [Errno 2] No such file or directory: '{path}'", ""),
+        ("{[1, 2]: 3}\n", "config parse error at line 1, column 2: while constructing a mapping",
+         "found unhashable key"),
+    ],
+    ids=["start_regime_past_m", "root_a_list", "section_an_int", "missing_file", "unhashable_key"],
+)
+def test_config_refusals_exit_2_with_their_message(tmp_path, capsys, text, message, detail):
+    cfg = tmp_path / "refused.yaml"
+    if text is not None:
+        cfg.write_text(text)
+    assert run_cli("eval", cfg, tmp_path / "refused") == 2
+    first, _, rest = capsys.readouterr().err.partition("\n")
+    assert first == "config error: " + message.format(path=cfg)
+    assert detail in rest if detail else rest == ""
+    assert not (tmp_path / "refused").exists()
 
 
 def test_gcheck_grid_below_its_largest_probe_exits_2(tmp_path, capsys):

@@ -50,6 +50,26 @@ def test_nonfinite_entries_rejected():
         validate(RegimeModel(mu=[np.nan, 0.1], sigma=[0.3, 0.3], Q=FIG_Q, T=1.0))
 
 
+# Each bad model above, built with the constructor alone: a RegimeModel is valid once built.
+BAD_MODELS = {
+    "row_sum": (([0.1, 0.1], [0.3, 0.3], [[-1.0, 0.5], [2.0, -2.0]], 1.0),
+                r"^row 0 of Q sums to -5\.000e-01, expected 0$"),
+    "off_diagonal": (([0.1, 0.1], [0.3, 0.3], [[0.5, -0.5], [1.0, -1.0]], 1.0),
+                     r"^negative off-diagonal rate Q\[0,1\] = -0\.5$"),
+    "volatility": (([0.1], [0.0], [[0.0]], 1.0), r"^sigma\[0\] = 0\.0 is not positive$"),
+    "horizon": (([0.1], [0.3], [[0.0]], 0.0), r"^horizon must be positive, got 0\.0$"),
+    "sigma_length": (([0.1, 0.2], [0.3], FIG_Q, 1.0), r"^sigma must have length 2, got \(1,\)$"),
+    "q_shape": (([0.1, 0.2], [0.3, 0.3], [[0.0]], 1.0), r"^Q must be \(2, 2\), got \(1, 1\)$"),
+    "non_finite": (([np.nan, 0.1], [0.3, 0.3], FIG_Q, 1.0), r"^mu contains non-finite entries$"),
+}
+
+
+@pytest.mark.parametrize("params,message", BAD_MODELS.values(), ids=BAD_MODELS)
+def test_building_a_bad_model_raises(params, message):
+    with pytest.raises(ModelError, match=message):
+        RegimeModel(*params)
+
+
 def test_validate_is_idempotent():
     m = validate(RegimeModel(mu=[0.15, 0.05], sigma=[0.5, 0.3], Q=FIG_Q, T=0.5))
     assert validate(m) is m

@@ -11,7 +11,9 @@ so no test-only package reaches the run path, and only the stepper calls
 foreign code through ``ctypes``.  Those four checks read the
 source with ``ast``, so they cover every module in ``src/ultmax`` whether
 or not it is imported.  No library line is longer than 120 characters, so
-code crammed onto fewer lines does not count as less code.
+code crammed onto fewer lines does not count as less code.  A model is
+checked where it is built: only ``model.py`` calls ``validate``, and no
+module names ``RegimeModel`` a second time, since such an alias checks nothing.
 """
 
 import ast
@@ -113,3 +115,23 @@ def test_no_library_line_is_longer_than_120_characters():
     long = [f"{path.name}:{n}" for path in sorted(SRC.glob("*.py"))
             for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1) if len(line) > MAX_LINE]
     assert long == []
+
+
+def model_checks(path):
+    """Line numbers of the calls of ``validate`` and of the assignments of ``RegimeModel`` to a name in ``path``."""
+    calls, aliases = [], []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        func = getattr(node, "func", None)
+        if isinstance(node, ast.Call) and "validate" in (getattr(func, "id", None), getattr(func, "attr", None)):
+            calls.append(node.lineno)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)) and getattr(node.value, "id", None) == "RegimeModel":
+            aliases.append(node.lineno)
+    return calls, aliases
+
+
+def test_only_the_model_constructor_calls_validate_and_no_name_aliases_the_model():
+    checks = {path.name: model_checks(path) for path in sorted(SRC.glob("*.py"))}
+    assert len(checks) > 10
+    calls = {name: lines for name, (lines, _) in checks.items() if lines}
+    assert list(calls) == ["model.py"] and len(calls["model.py"]) == 1  # in RegimeModel.__post_init__
+    assert {name: lines for name, (_, lines) in checks.items() if lines} == {}
