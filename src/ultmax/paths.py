@@ -127,7 +127,8 @@ def _log_update(ylog, ymaxlog, coefficient, rng, bridge_max, z=None, u=None, wor
 
 def _jump_loop(dt, rates) -> GridTooCoarse:
     """The refusal of a step of length dt whose jumps outrun the round limit; map_blocks raises it up front where
-    min |q_jj| * dt > 1.5 x the limit, since every path then jumps at least Poisson(min |q_jj| * dt) times."""
+    min |q_jj| * dt over the regimes a path can visit is > 1.5 x the limit, since every path then jumps at least
+    Poisson(that min |q_jj| * dt) times."""
     return GridTooCoarse(f"regime jump loop did not terminate in {_MAX_JUMP_ROUNDS} rounds of a step of dt = {dt:g}, "
                          f"max |q_jj| * dt = {rates.max() * dt:g}; check Q scaling")
 
@@ -203,7 +204,10 @@ def map_blocks(model, times, j0, n_paths, seed, bridge_max, block, x0=1.0):
     back in block order, so sums over them have a fixed reduction order.
     """
     sizes = [min(BLOCK_SIZE, n_paths - lo) for lo in range(0, n_paths, BLOCK_SIZE)]
-    if (outrun := np.diff(times)[model.jump_rates().min() * np.diff(times) > 1.5 * _MAX_JUMP_ROUNDS]).size:
+    reach = np.arange(model.m) == j0  # the regimes a path from j0 can visit, through Q's positive rates
+    for _ in range(model.m):
+        reach |= (model.Q[reach] > 0.0).any(axis=0)
+    if (outrun := np.diff(times)[model.jump_rates()[reach].min() * np.diff(times) > 1.5 * _MAX_JUMP_ROUNDS]).size:
         raise _jump_loop(outrun[0], model.jump_rates())
 
     def run(b):

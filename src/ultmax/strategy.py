@@ -12,7 +12,9 @@ time (never anticipating).
 
 All policies in a comparison share the same simulated paths (common random
 numbers), so paired differences carry far less variance than the individual
-estimates.
+estimates.  The stopping test costs what a policy can still change: it skips a
+level row that is +inf in every regime and a policy with no running path, and
+compares a row with one level for every regime against that number.
 """
 
 from __future__ import annotations
@@ -119,11 +121,15 @@ def compare_policies(
     if not policies:
         raise ValueError("need at least one policy")
     times = np.linspace(0.0, model.T, n_steps + 1)
-    thresholds = [_stop_log_levels(p, model, times) for p in policies]
     P = len(policies)
+    # Each level row as the test reads it: None where every level is +inf (the finite ratio process never
+    # reaches it), one float where every regime shares it, else the row, read per path through the regime.
+    rows = [[None if np.all(row == np.inf) else float(row[0]) if np.all(row == row[0]) else row for row in thr]
+            for thr in (_stop_log_levels(p, model, times) for p in policies)]
 
     def block(lo, size):
         running = np.ones((P, size), dtype=bool)
+        left = [size] * P  # running paths per policy
         log_y_tau = np.zeros((P, size))
         xlog, level, newly = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
 
@@ -131,14 +137,17 @@ def compare_policies(
             # Ratio process from x0 = 1 in log scale; info up to this step only.
             np.subtract(ymaxlog, ylog, out=xlog)
             for p in range(P):
-                np.greater_equal(xlog, thresholds[p][k].take(state, out=level, mode="clip"), out=newly)
-                np.logical_and(newly, running[p], out=newly)
-                if newly.any():
-                    log_y_tau[p][newly] = ylog[newly]
-                    running[p][newly] = False
+                if (row := rows[p][k]) is None or not left[p]:
+                    continue
+                np.greater_equal(xlog, row if isinstance(row, float) else row.take(state, out=level, mode="clip"),
+                                 out=newly)
+                stops = np.flatnonzero(np.logical_and(newly, running[p], out=newly))
+                log_y_tau[p][stops] = ylog[stops]
+                running[p][stops] = False
+                left[p] -= stops.size
 
         def finish(state, ylog, ymaxlog):
-            regrets = np.exp(ymaxlog[None, :] - log_y_tau)
+            regrets = np.exp(np.subtract(ymaxlog, log_y_tau, out=log_y_tau), out=log_y_tau)
             return moments(*regrets, *(a - b for a, b in combinations(regrets, 2)))
 
         return on_step, finish

@@ -245,8 +245,8 @@ def test_regime_jumps_past_the_round_limit_are_refused_before_any_path_moves(tmp
 
 
 def test_round_guard_refuses_a_step_the_up_front_rule_lets_start(tmp_path, capsys, monkeypatch):
-    # Regime 3 absorbs, so min |q_jj| * dt = 0 and map_blocks starts the blocks; regimes 1 and 2 still swap
-    # about 2e5 times a step, and the guard in the step loop stops the run at a round limit of 50.
+    # Regime 3 absorbs but cannot be reached from regime 1, so the up-front rule reads only regimes 1 and 2,
+    # which swap about 2e5 times a step: past 1.5 x a round limit of 50, it refuses the run before any block.
     monkeypatch.setattr(paths, "_MAX_JUMP_ROUNDS", 50)
     cfg = tmp_path / "absorbing.yaml"
     cfg.write_text("model: {mu: [0.15, 0.05, 0.1], sigma: [0.5, 0.3, 0.4], horizon: 0.5,\n"
@@ -254,6 +254,46 @@ def test_round_guard_refuses_a_step_the_up_front_rule_lets_start(tmp_path, capsy
                    "grid: {n_x: 60, n_t: 30}\nmc: {n_paths: 10, n_steps: 250, seed: 1}\n"
                    'eval: {policies: ["immediate", "at_maturity"]}\n')
     out = tmp_path / "absorbing"
+    assert run_cli("eval", cfg, out, ["--threads", "1"]) == 3
+    assert capsys.readouterr().err == (
+        "solver error: regime jump loop did not terminate in 50 rounds of a step of dt = 0.002, "
+        "max |q_jj| * dt = 200000; check Q scaling\n")
+    assert not list(out.iterdir())
+
+
+def test_an_unreachable_absorbing_regime_leaves_the_up_front_jump_refusal_on(tmp_path, capsys, monkeypatch):
+    # Regime 3 absorbs, but no path from regime 1 reaches it: the slowest rate a path can meet is 1e8, and the
+    # run is refused before any block moves.  Read over every regime, the minimum was 0 and each block ran its
+    # 100 000 rounds to the guard.
+    def no_block(*args):
+        raise AssertionError("a block of paths was advanced")
+
+    monkeypatch.setattr(paths, "_advance_block", no_block)
+    cfg = tmp_path / "absorbing.yaml"
+    cfg.write_text("model: {mu: [0.15, 0.05, 0.1], sigma: [0.5, 0.3, 0.4], horizon: 0.5,\n"
+                   "        q: [[-1.0e8, 1.0e8, 0], [1.0e8, -1.0e8, 0], [0, 0, 0]]}\n"
+                   "grid: {n_x: 60, n_t: 30}\nmc: {n_paths: 70000, n_steps: 250, seed: 1}\n"
+                   'eval: {policies: ["immediate", "at_maturity"]}\n')
+    out = tmp_path / "absorbing"
+    assert run_cli("eval", cfg, out) == 3
+    assert capsys.readouterr().err == (
+        "solver error: regime jump loop did not terminate in 100000 rounds of a step of dt = 0.002, "
+        "max |q_jj| * dt = 200000; check Q scaling\n")
+    assert not list(out.iterdir())
+
+
+def test_round_guard_refuses_jumps_a_reachable_absorbing_regime_hides_from_the_up_front_rule(
+        tmp_path, capsys, monkeypatch):
+    # Regime 1 reaches the absorbing regime 3 at rate 1, so the slowest rate a path can meet is 0 and the blocks
+    # start; regimes 1 and 2 still swap about 2e5 times a step, and the guard in the step loop stops the run
+    # at a round limit of 50.
+    monkeypatch.setattr(paths, "_MAX_JUMP_ROUNDS", 50)
+    cfg = tmp_path / "reachable.yaml"
+    cfg.write_text("model: {mu: [0.15, 0.05, 0.1], sigma: [0.5, 0.3, 0.4], horizon: 0.5,\n"
+                   "        q: [[-1.0e8, 99999999.0, 1.0], [1.0e8, -1.0e8, 0], [0, 0, 0]]}\n"
+                   "grid: {n_x: 60, n_t: 30}\nmc: {n_paths: 10, n_steps: 250, seed: 1}\n"
+                   'eval: {policies: ["immediate", "at_maturity"]}\n')
+    out = tmp_path / "reachable"
     assert run_cli("eval", cfg, out, ["--threads", "1"]) == 3
     assert capsys.readouterr().err == (
         "solver error: regime jump loop did not terminate in 50 rounds of a step of dt = 0.002, "

@@ -14,6 +14,9 @@ or not it is imported.  No library line is longer than 120 characters, so
 code crammed onto fewer lines does not count as less code.  A model is
 checked where it is built: only ``model.py`` calls ``validate``, and no
 module names ``RegimeModel`` a second time, since such an alias checks nothing.
+A policy's ``kind`` is read only by ``Policy.name``: the policy pass reads the
+level table alone, so a threshold with +inf levels is skipped as
+``at_maturity`` is.
 """
 
 import ast
@@ -135,3 +138,19 @@ def test_only_the_model_constructor_calls_validate_and_no_name_aliases_the_model
     calls = {name: lines for name, (lines, _) in checks.items() if lines}
     assert list(calls) == ["model.py"] and len(calls["model.py"]) == 1  # in RegimeModel.__post_init__
     assert {name: lines for name, (_, lines) in checks.items() if lines} == {}
+
+
+def kind_reads(path):
+    """Line numbers of the reads of an attribute named ``kind`` in ``path``, but ``.dtype.kind`` and ``Policy.name``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    named = {id(node) for cls in tree.body if isinstance(cls, ast.ClassDef) and cls.name == "Policy"
+             for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "name" for node in ast.walk(fn)}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "kind" and isinstance(node.ctx, ast.Load)
+            and getattr(node.value, "attr", None) != "dtype" and id(node) not in named]
+
+
+def test_only_the_policy_name_reads_a_kind():
+    reads = {path.name: kind_reads(path) for path in sorted(SRC.glob("*.py"))}
+    assert len(reads) > 10
+    assert {name: lines for name, lines in reads.items() if lines} == {}

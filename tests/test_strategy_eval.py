@@ -1,5 +1,9 @@
+import dataclasses
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import estimate_J, lift_to_x, simulate_paths
 
@@ -10,7 +14,8 @@ from ultmax.gain import g_pde
 from ultmax.grids import Grid
 from ultmax.markov import derive_rng
 from ultmax.model import RegimeModel, validate
-from ultmax.strategy import Policy, compare_policies
+from ultmax.paths import map_blocks, mean_se, moments
+from ultmax.strategy import Policy, _stop_log_levels, compare_policies
 from ultmax.value import solve_value
 
 FIG = validate(pinned.make_model(pinned.FIGURE_MODEL))
@@ -214,3 +219,102 @@ def test_compare_policies_takes_one_policy_or_more():
         compare_policies(FIG, [], 0, 10, 5, seed=1)
     (est,), pairs = compare_policies(FIG, [Policy.immediate()], 0, 10, 5, seed=1)
     assert est.policy.kind == "immediate" and pairs == []
+
+
+def every_policy_every_step(model, policies, j0, n_paths, n_steps, seed, bridge_max):
+    """The (mean, SE) of each regret, then of each pairwise difference, with every policy's level row
+    gathered and tested over the whole block at every step: the policy pass before its skips."""
+    times = np.linspace(0.0, model.T, n_steps + 1)
+    thresholds = [_stop_log_levels(p, model, times) for p in policies]
+    P = len(policies)
+
+    def block(lo, size):
+        running = np.ones((P, size), dtype=bool)
+        log_y_tau = np.zeros((P, size))
+        xlog, level, newly = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
+
+        def on_step(k, state, ylog, ymaxlog):
+            np.subtract(ymaxlog, ylog, out=xlog)
+            for p in range(P):
+                np.greater_equal(xlog, thresholds[p][k].take(state, out=level, mode="clip"), out=newly)
+                np.logical_and(newly, running[p], out=newly)
+                if newly.any():
+                    log_y_tau[p][newly] = ylog[newly]
+                    running[p][newly] = False
+
+        def finish(state, ylog, ymaxlog):
+            regrets = np.exp(ymaxlog[None, :] - log_y_tau)
+            return moments(*regrets, *(a - b for a, b in combinations(regrets, 2)))
+
+        return on_step, finish
+
+    return mean_se(map_blocks(model, times, j0, n_paths, seed, bridge_max, block), n_paths)
+
+
+@st.composite
+def policy_cases(draw):
+    """A model of 1-4 regimes (absorbing rows included), policies on it, and a start regime."""
+    m = draw(st.integers(1, 4))
+    Q = np.zeros((m, m))
+    for i in range(m):
+        if not draw(st.booleans()):  # else regime i is absorbing
+            Q[i] = [0.0 if j == i else draw(st.floats(0.0, 5.0)) for j in range(m)]
+            Q[i, i] = -Q[i].sum()
+    mu = draw(st.lists(st.floats(-0.5, 0.5), min_size=m, max_size=m))
+    sigma = draw(st.lists(st.floats(0.2, 1.0), min_size=m, max_size=m))
+    model = RegimeModel(mu, sigma, Q, draw(st.floats(0.1, 1.0)))
+    level = st.sampled_from([1.0, 1.05, 1.2, np.inf]) | st.floats(1.0, 2.0)
+    policies = []
+    for kind in draw(st.lists(st.sampled_from(["immediate", "at_maturity", "threshold", "boundary"]),
+                              min_size=1, max_size=5)):
+        if kind == "immediate":
+            policies.append(Policy.immediate())
+        elif kind == "at_maturity":
+            policies.append(Policy.at_maturity())
+        elif kind == "threshold":
+            policies.append(Policy.fixed_threshold(draw(st.lists(level, min_size=m, max_size=m))))
+        else:
+            grid = Grid.for_model(model, n_x=24, n_t=40)
+            boundary = extract_boundary(solve_value(model, grid, g_pde(model, grid)), pinned.TOL_ABS_DEFAULT)
+            b = boundary.b_smoothed.copy()
+            # Sentinels: a whole time row (j = -1) or one regime's level set to +inf.
+            for k, j in draw(st.lists(st.tuples(st.integers(0, grid.n_t), st.integers(-1, m - 1)), max_size=8)):
+                b[k, j if j >= 0 else slice(None)] = np.inf
+            policies.append(Policy.from_boundary(dataclasses.replace(boundary, b_smoothed=b)))
+    return model, policies, draw(st.integers(0, m - 1))
+
+
+# Blocks of 1 000 paths, so a draw of up to 3 000 paths runs up to three blocks, the last one partial, and two
+# threads run two of them at once.
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=policy_cases(), n_paths=st.integers(1, 3000), n_steps=st.integers(1, 30),
+       seed=st.integers(0, 2**32 - 1), bridge_max=st.booleans())
+def test_skipping_the_stop_test_changes_no_bit(case, n_paths, n_steps, seed, bridge_max):
+    model, policies, j0 = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ultmax.paths, "BLOCK_SIZE", 1000)
+        for threads in (1, 2):
+            mp.setattr(ultmax.paths, "threads", threads)
+            expected = every_policy_every_step(model, policies, j0, n_paths, n_steps, seed, bridge_max)
+            ests, pairs = compare_policies(model, policies, j0, n_paths, n_steps, seed, bridge_max)
+            by_policy = {id(e.policy): (e.mean, e.std_error) for e in ests}
+            assert [by_policy[id(p)] for p in policies] + [(pr.diff, pr.diff_se) for pr in pairs] == expected
+            assert all(e.n_paths == n_paths for e in ests)
+            assert [(pr.policy_a, pr.policy_b) for pr in pairs] == [
+                (a.name(), b.name()) for a, b in combinations(policies, 2)]
+
+
+def test_threshold_levels_of_one_and_of_inf_are_immediate_and_at_maturity_bit_for_bit():
+    # 70 000 paths: two blocks.  A +inf row is skipped like at_maturity's, and a threshold of 1 stops every path
+    # at t = 0, after which no path of it runs, like immediate.
+    m = FIG.m
+    pols = [Policy.immediate(), Policy.at_maturity(), Policy.fixed_threshold([np.inf] * m),
+            Policy.fixed_threshold([1.0] * m)]
+    ests, pairs = compare_policies(FIG, pols, 0, 70_000, 40, seed=2611)
+    regret = {id(e.policy): (e.mean, e.std_error) for e in ests}
+    assert regret[id(pols[2])] == regret[id(pols[1])]
+    assert regret[id(pols[3])] == regret[id(pols[0])]
+    assert regret[id(pols[0])] != regret[id(pols[1])]
+    by_pair = {(pr.policy_a, pr.policy_b): (pr.diff, pr.diff_se) for pr in pairs}
+    assert by_pair[("at_maturity", pols[2].name())] == (0.0, 0.0)
+    assert by_pair[("immediate", pols[3].name())] == (0.0, 0.0)
