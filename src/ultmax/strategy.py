@@ -148,7 +148,8 @@ def compare_policies(
 
         def finish(state, ylog, ymaxlog):
             regrets = np.exp(np.subtract(ymaxlog, log_y_tau, out=log_y_tau), out=log_y_tau)
-            return moments(*regrets, *(a - b for a, b in combinations(regrets, 2)))
+            # one pairwise difference alive at a time, not all P(P-1)/2 of them
+            return np.concatenate([moments(*regrets), *(moments(a - b) for a, b in combinations(regrets, 2))])
 
         return on_step, finish
 
