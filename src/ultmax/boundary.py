@@ -46,10 +46,11 @@ class Boundary:
         """Smoothed levels at the latest grid time <= each of ``times``.
 
         Returns a (len(times), m) array.  The backward-looking step lookup
-        never anticipates: with nonincreasing boundaries it errs on the high
+        never anticipates (a time within ``grid.t_slack`` below a node reads
+        it, for rounding): with nonincreasing boundaries it errs on the high
         side.
         """
-        k = np.searchsorted(self.grid.t, np.asarray(times, dtype=float) + 1e-12, side="right") - 1
+        k = np.searchsorted(self.grid.t, np.asarray(times, dtype=float) + self.grid.t_slack, side="right") - 1
         return self.b_smoothed[np.clip(k, 0, self.grid.n_t)]
 
 

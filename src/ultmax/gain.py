@@ -47,12 +47,12 @@ def g_monte_carlo(
     maximum has the exact law for any step count, since regime jumps are
     merged with the grid; the default small n_steps just keeps the jump
     bookkeeping shallow.  At t = T the gain is x exactly and no paths are
-    simulated.
+    simulated.  Refuses an x below 1 or not finite and a t outside [0, T], nan included.
     """
-    if x < 1.0:
-        raise ValueError("x must be at least 1")
-    if t > model.T:
-        raise ValueError("t must not exceed the horizon")
+    if not 1.0 <= x < np.inf:
+        raise ValueError(f"x must be at least 1 and finite, got {x}")
+    if not 0.0 <= t <= model.T:
+        raise ValueError(f"t must lie in [0, horizon = {model.T:g}], got {t}")
     if t == model.T:
         return float(x), 0.0
 

@@ -124,6 +124,11 @@ class Grid:
         return float(self.t[1] - self.t[0])
 
     @property
+    def t_slack(self) -> float:
+        """How far below a time node a time still reads as that node: a billionth of the step, for rounding."""
+        return 1e-9 * self.dt
+
+    @property
     def x(self) -> np.ndarray:
         return np.exp(self.z)
 

@@ -41,35 +41,36 @@ def transition_matrix(Q: np.ndarray, dt: float) -> np.ndarray:
 
     The series sum_k e^{-lam*dt} (lam*dt)^k / k! * K^k with K = I + Q/lam is
     truncated once the remaining Poisson tail mass drops below
-    ``UNIFORMIZATION_TAIL``.  dt = 0 returns the identity.
+    ``UNIFORMIZATION_TAIL``.  dt = 0 returns the identity; a dt that is
+    negative or not finite raises ValueError.
     """
     Q = np.asarray(Q, dtype=float)
     m = Q.shape[0]
-    if dt < 0.0:
-        raise ValueError("dt must be nonnegative")
+    if not 0.0 <= dt < np.inf:
+        raise ValueError(f"dt must be nonnegative and finite, got {dt}")
     lam = float(np.max(-np.diag(Q)))
-    a = lam * dt
-    if a == 0.0:
+    if lam * dt == 0.0:
         return np.eye(m)
 
     K = np.eye(m) + Q / lam
+    # A leading weight e^-a below the normal range (a > 708) loses its digits: halve dt, then square back up.
+    halvings = 0
+    while np.exp(-lam * dt) < np.finfo(float).tiny:
+        dt, halvings = dt / 2.0, halvings + 1
     # Recursive Poisson weights: w_0 = e^-a, w_{k+1} = w_k * a/(k+1).
+    a = lam * dt
     w = np.exp(-a)
-    if w == 0.0:
-        # Beyond float range for the leading weight: square down from dt/2.
-        half = transition_matrix(Q, dt / 2.0)
-        P = half @ half
-    else:
-        term = np.eye(m)
-        P = w * term
-        acc = w
-        k = 0
-        while 1.0 - acc > UNIFORMIZATION_TAIL:
-            k += 1
-            term = term @ K
-            w *= a / k
-            P += w * term
-            acc += w
-    P = np.maximum(P, 0.0)
-    P /= P.sum(axis=1, keepdims=True)
+    term = np.eye(m)
+    P = w * term
+    acc = w
+    k = 0
+    while 1.0 - acc > UNIFORMIZATION_TAIL:
+        k += 1
+        term = term @ K
+        w *= a / k
+        P += w * term
+        acc += w
+    for i in range(halvings + 1):
+        P = np.maximum(P @ P if i else P, 0.0)
+        P /= P.sum(axis=1, keepdims=True)
     return P

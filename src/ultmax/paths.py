@@ -202,7 +202,10 @@ def map_blocks(model, times, j0, n_paths, seed, bridge_max, block, x0=1.0):
     maps its final slice to a result.  Up to ``threads`` blocks run at once,
     so these callbacks must write only their own block's data; results come
     back in block order, so sums over them have a fixed reduction order.
+    Refuses an n_paths below 1.
     """
+    if not n_paths >= 1:
+        raise ValueError(f"n_paths must be at least 1, got {n_paths}")
     sizes = [min(BLOCK_SIZE, n_paths - lo) for lo in range(0, n_paths, BLOCK_SIZE)]
     reach = np.arange(model.m) == j0  # the regimes a path from j0 can visit, through Q's positive rates
     for _ in range(model.m):

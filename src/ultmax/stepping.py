@@ -17,9 +17,9 @@ replay of the same substitution, in the same operation order, takes its place.
 Both give every solution bit-identical to dgtsv's.
 
 A step refuses a grid whose time step is too coarse for it (``GridTooCoarse``):
-the split coupling needs max |q_jj| dt <= 1/2, each implicit row, which sums
-to 1 - dt r, needs dt r < 1 for every reaction r, and the far edge's diagonal
-1 - dt ((D + a) g / dz + r) must be positive too.
+the split coupling needs max |q_jj| dt <= 1/2, and the rows of I - dt L that
+the step factors need every diagonal positive and a positive sum: every row
+of a regime, edge rows included, sums to 1 - dt r for its reaction r.
 
 Boundary rows are built by ghost-node elimination: a reflecting edge
 (u_z = 0) at z = 0, and zero curvature in the price variable at z_max
@@ -42,12 +42,10 @@ from .grids import Grid
 from .model import RegimeModel
 from .markov import transition_matrix
 
-__all__ = ["BackwardStepper", "GridTooCoarse", "Stencil", "Tridiagonal", "COUPLING_DT_LIMIT", "REACTION_DT_LIMIT"]
+__all__ = ["BackwardStepper", "GridTooCoarse", "Stencil", "Tridiagonal", "COUPLING_DT_LIMIT"]
 
 # Splitting accuracy guard on the regime-coupling magnitude per step.
 COUPLING_DT_LIMIT = 0.5
-# dt * r must stay below this for every reaction r: each implicit row sums to 1 - dt * r.
-REACTION_DT_LIMIT = 1.0
 
 # LAPACK dgttrs with 64-bit integers, as numpy's wheel bundles it in its OpenBLAS.
 _DGTTRS = "scipy_dgttrs_64_"
@@ -57,12 +55,10 @@ class GridTooCoarse(ValueError):
     """Raised when the time step is too large for the stepper.
 
     That is when max |q_jj| * dt exceeds ``COUPLING_DT_LIMIT`` (the split-step
-    coupling), when dt * r reaches ``REACTION_DT_LIMIT`` for a reaction r
-    (the implicit row's sum 1 - dt * r is then no longer positive, and the
-    step no longer keeps a positive solution positive), or when the far
-    edge's dt * ((D + a) * g / dz + r) reaches it too (that row's diagonal is
-    then no longer positive).  The path engine raises it too, when a step's
-    regime jumps outrun its round limit.
+    coupling), or when a regime's rows of I - dt L have a diagonal or their
+    common sum 1 - dt * r that is not positive (the step then no longer keeps
+    a positive solution positive).  The path engine raises it too, when a
+    step's regime jumps outrun its round limit.
     """
 
 
@@ -171,8 +167,8 @@ class Tridiagonal:
 
 
 class Stencil:
-    """L on one grid, per regime: diffusion D = sigma^2 / 2, ``advection`` a, ``reaction`` r, ghost factor ``g_edge``
-    and the far edge's ``edge_rate`` (D + a) g_edge / dz + r."""
+    """L on one grid, per regime: diffusion D = sigma^2 / 2, ``advection`` a, ``reaction`` r and ghost factor
+    ``g_edge``; every row of L sums to r, edge rows included."""
 
     def __init__(self, model: RegimeModel, grid: Grid, advection, reaction):
         self.grid = grid
@@ -182,8 +178,6 @@ class Stencil:
         # z_max: ghost chosen so u_zz = u_z (zero curvature in x); both
         # collapse to g_edge * (u_{N-1} - u_{N-2}) / dz.
         self.g_edge = 1.0 / (1.0 - 0.5 * grid.dz)
-        # That row's diagonal in I - dt L is 1 - dt * edge_rate.
-        self.edge_rate = (self.diffusion + self.advection) * self.g_edge / grid.dz + self.reaction
 
     def implicit_rows(self, j: int, dt: float):
         """Sub-, main and super-diagonal of I - dt L in regime j (n - 1, n and n - 1 entries)."""
@@ -197,7 +191,7 @@ class Stencil:
         # z = 0: ghost reflection u_{-1} = u_1 kills the advection term.
         up[0] = -dt * (2 * D / dz**2)
         lo[-1] = dt * (D + a) * self.g_edge / dz
-        di[-1] = 1.0 - dt * self.edge_rate[j]
+        di[-1] = 1.0 - dt * ((D + a) * self.g_edge / dz + r)
         return lo[1:], di, up[:-1]
 
     def apply(self, values: np.ndarray) -> np.ndarray:
@@ -223,25 +217,18 @@ class BackwardStepper:
             raise GridTooCoarse(
                 f"max |q_jj| * dt = {coupling:.3g} exceeds {COUPLING_DT_LIMIT}; refine the time grid"
             )
-        j = int(np.argmax(stencil.reaction))
-        reacting = float(stencil.reaction[j]) * dt
-        if reacting >= REACTION_DT_LIMIT:
-            raise GridTooCoarse(
-                f"regime {j + 1}: dt * reaction = {reacting:.3g} is not below {REACTION_DT_LIMIT}, so the "
-                "implicit rows' sum 1 - dt * reaction is not positive; refine the time grid"
-            )
-        edge = dt * stencil.edge_rate
-        j = int(np.argmax(edge))
-        if edge[j] >= REACTION_DT_LIMIT:
-            raise GridTooCoarse(
-                f"regime {j + 1}: at the far edge dt * ((D + a) * g / dz + reaction) = {edge[j]:.3g} is not below "
-                f"{REACTION_DT_LIMIT}, so that row's diagonal is not positive; refine the time grid"
-            )
+        rows = [stencil.implicit_rows(j, dt) for j in range(model.m)]
+        for j, (_, di, _) in enumerate(rows):
+            i, total = int(np.argmin(di)), 1.0 - dt * stencil.reaction[j]
+            if di[i] <= 0.0 or total <= 0.0:
+                raise GridTooCoarse(f"regime {j + 1}: row {i + 1} of {di.size} of I - dt L has diagonal {di[i]:.3g} "
+                                    f"and sum 1 - dt * reaction = {total:.3g}; both must be positive, so refine the "
+                                    "time grid")
         self.coupling = transition_matrix(model.Q, dt)
         self._solvers = []
-        for j in range(model.m):
+        for j, row in enumerate(rows):
             try:
-                self._solvers.append(Tridiagonal(*stencil.implicit_rows(j, dt)))
+                self._solvers.append(Tridiagonal(*row))
             except np.linalg.LinAlgError as exc:
                 raise np.linalg.LinAlgError(f"regime {j + 1}: lattice matrix: {exc}") from None
 

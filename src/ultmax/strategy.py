@@ -91,7 +91,7 @@ def _stop_log_levels(policy: Policy, model: RegimeModel, times: np.ndarray) -> n
     """Per (step, regime) log of the policy's level on the ratio process; inf = never, and the final step stops."""
     levels = policy.levels
     if isinstance(levels, Boundary):
-        if abs(levels.grid.t[-1] - times[-1]) > 1e-12:
+        if not abs(levels.grid.t[-1] - times[-1]) <= levels.grid.t_slack:
             raise ValueError("boundary horizon does not match the model horizon")
         levels = levels.levels_at(times)
     elif levels.shape not in ((), (model.m,)):

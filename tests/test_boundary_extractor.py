@@ -163,6 +163,22 @@ def test_level_lookup_is_backward_looking(fig):
     assert np.array_equal(b.levels_at([t_mid, grid.t[11]]), b.b_smoothed[[10, 11]])
 
 
+@pytest.mark.parametrize("horizon", [1e-10, 0.5])
+def test_level_lookup_reads_each_node_and_never_a_later_one(horizon):
+    # With an absolute 1e-12 slack, a horizon of 1e-10 on 200 steps (dt = 5e-13) read a level up to two nodes
+    # ahead at 1 000 of these 1 001 times.
+    model = RegimeModel([0.1, 0.2], [0.3, 0.4], [[-1.0, 1.0], [1.0, -1.0]], horizon)
+    grid = Grid.for_model(model, n_x=5, n_t=200)
+    levels = np.arange(1.0, 2.0 * (grid.n_t + 1) + 1.0).reshape(-1, 2)  # level 2k + 1 in regime 1 marks node k
+    b = Boundary(levels, levels, np.zeros(levels.shape, dtype=np.int64), grid)
+    assert np.array_equal(b.levels_at(grid.t), b.b_smoothed)
+    mid = 0.5 * (grid.t[1:] + grid.t[:-1])
+    times = np.concatenate([grid.t, mid, grid.t[1:] - 1e-6 * grid.dt])
+    node = ((b.levels_at(times)[:, 0] - 1.0) / 2.0).astype(int)
+    assert np.all(grid.t[node] <= times)
+    assert np.array_equal(node[grid.n_t + 1:], np.tile(np.arange(grid.n_t), 2))
+
+
 def test_median_smoothing_kills_single_spikes():
     grid = Grid.for_model(FIG, n_x=60, n_t=10)
     f = np.full((11, 60, 2), -1.0)

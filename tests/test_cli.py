@@ -182,29 +182,31 @@ def test_too_coarse_time_grid_exits_3(config, tmp_path):
 
 def test_reaction_past_the_time_step_exits_3(config, tmp_path, capsys):
     # dt * mu = 0.025 * 100 = 2.5: the gain's implicit rows sum to 1 - dt * mu < 0,
-    # where the run exited 0 with G(0, 1, 1) = -1.32e14.
+    # where the run exited 0 with G(0, 1, 1) = -1.32e14.  Row 1 is the first of the rows whose diagonal
+    # 1 + dt * (2 D / dz^2 - mu) is the smallest.
     fast = config.parent / "fast.yaml"
     fast.write_text(config.read_text().replace("mu: [0.15, 0.05]", "mu: [100.0, 0.05]")
                     .replace("n_x: 120", "n_x: 30").replace("n_t: 60", "n_t: 20"))
     out = tmp_path / "fast"
     assert run_cli("solve", fast, out) == 3
     assert capsys.readouterr().err == (
-        "solver error: regime 1: dt * reaction = 2.5 is not below 1.0, so the implicit rows' sum "
-        "1 - dt * reaction is not positive; refine the time grid\n")
+        "solver error: regime 1: row 1 of 30 of I - dt L has diagonal -1.5 and sum 1 - dt * reaction = -1.5; "
+        "both must be positive, so refine the time grid\n")
     assert not list(out.iterdir())
 
 
 def test_far_edge_past_the_time_step_exits_3(tmp_path, capsys):
     # The value rows' far edge: dt * (D + a) * g / dz = 2.68 and 4.09 with D + a = sigma^2 - mu,
     # where those rows' diagonals went negative and the run exited 0 with V = -2816 beside G = 549.7.
+    # The refusal names regime 1's top row, the first regime with a diagonal that is not positive.
     cfg = tmp_path / "edge.yaml"
     cfg.write_text("model: {mu: [0.45, -0.2], sigma: [1.0, 0.8], q: [[0, 0], [0.2, -0.2]], horizon: 2}\n"
                    "grid: {n_x: 12, n_t: 1}\nmc: {seed: 1}\n")
     out = tmp_path / "edge"
     assert run_cli("solve", cfg, out) == 3
     assert capsys.readouterr().err == (
-        "solver error: regime 2: at the far edge dt * ((D + a) * g / dz + reaction) = 4.09 is not below 1.0, "
-        "so that row's diagonal is not positive; refine the time grid\n")
+        "solver error: regime 1: row 12 of 12 of I - dt L has diagonal -1.68 and sum 1 - dt * reaction = 1; "
+        "both must be positive, so refine the time grid\n")
     assert not list(out.iterdir())
 
 

@@ -105,6 +105,22 @@ def test_long_horizon_rows_reach_stationary_distribution():
     assert np.allclose(stationary_distribution(FIG_Q), pi_hand, atol=1e-12)
 
 
+@pytest.mark.parametrize("dt", [np.inf, np.nan, -1.0])
+def test_a_time_step_that_is_negative_or_not_finite_is_refused(dt):
+    # inf ended in a RecursionError and nan returned a matrix of nan.
+    with pytest.raises(ValueError, match="dt must be nonnegative and finite"):
+        transition_matrix(FIG_Q, dt)
+
+
+@pytest.mark.parametrize("rate, dt", [(1.0, 300.0), (1.0, 718.0), (1.0, 744.0), (1.0, 1e8), (1e10, 1e300)])
+def test_a_leading_weight_past_the_normal_range_is_halved_away(rate, dt):
+    # Symmetric two-state chain: exp(Q dt) has rows (1 + e^{-2a}, 1 - e^{-2a}) / 2, a = rate * dt.  Where e^{-a}
+    # was subnormal (708 < a < 745) the series read 0.4966 at a = 744 and did not end at a = 718; halving down
+    # from rate * dt = inf ran past the recursion limit.
+    Q = rate * np.array([[-1.0, 1.0], [1.0, -1.0]])
+    assert np.allclose(transition_matrix(Q, dt), 0.5, rtol=0.0, atol=1e-12)
+
+
 def test_small_step_matches_series_oracle():
     dt = 0.005
     P = transition_matrix(FIG_Q, dt)

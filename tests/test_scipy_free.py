@@ -175,10 +175,11 @@ def test_stepper_matches_solve_banded_on_random_models(monkeypatch):
         z_max = float(rng.uniform(0.5, 4.0)) if trial % 3 else None
         advection = rng.uniform(-1.0, 1.0, m)
         reaction = rng.uniform(-0.5, 0.5, m) if trial % 2 else np.zeros(m)
-        # n_t past both rules that depend on dt: the coupling's and the far edge's (dz does not depend on n_t).
-        edge = Stencil(model, Grid.for_model(model, n_x=n_x, n_t=1, z_max=z_max), advection, reaction)
-        n_t = max(n_t, math.ceil(2.0 * float(np.max(model.jump_rates())) * model.T) + 1,
-                  math.ceil(float(np.max(edge.edge_rate)) * model.T) + 1)
+        # n_t past the coupling rule and the rows' rule: a diagonal of I - dt L that reads 1 - c at dt = 1 stays
+        # positive while dt * c < 1 (dz does not depend on n_t; reactions of at most 0.5 keep the sums positive).
+        unit = Stencil(model, Grid.for_model(model, n_x=n_x, n_t=1, z_max=z_max), advection, reaction)
+        c = max(1.0 - float(unit.implicit_rows(j, 1.0)[1].min()) for j in range(m))
+        n_t = max(n_t, math.ceil(2.0 * float(np.max(model.jump_rates())) * model.T) + 1, math.ceil(c * model.T) + 1)
         grid = Grid.for_model(model, n_x=n_x, n_t=n_t, z_max=z_max)
         matrices.clear()
         stepper = BackwardStepper(model, Stencil(model, grid, advection, reaction))

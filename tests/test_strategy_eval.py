@@ -9,7 +9,7 @@ from conftest import estimate_J, lift_to_x, simulate_paths
 
 import ultmax.paths
 from ultmax import pinned
-from ultmax.boundary import extract_boundary
+from ultmax.boundary import Boundary, extract_boundary
 from ultmax.gain import g_pde
 from ultmax.grids import Grid
 from ultmax.markov import derive_rng
@@ -212,6 +212,17 @@ def test_threshold_validation():
         Policy.fixed_threshold([0.9, 1.1])
     with pytest.raises(ValueError):
         compare_policies(FIG, [Policy.fixed_threshold([1.1])], 0, 10, 5, seed=1)
+
+
+@pytest.mark.parametrize("solved, horizon", [(2e-13, 1e-13), (0.5, 0.5 + 1e-9), (0.5, 0.6)])
+def test_a_boundary_solved_for_another_horizon_is_refused(solved, horizon):
+    # With an absolute 1e-12 slack, a boundary solved for T = 2e-13 was read for a model with T = 1e-13.
+    grid = Grid.for_model(dataclasses.replace(FIG, T=solved), n_x=5, n_t=200)
+    levels = np.full((grid.n_t + 1, 2), 1.5)
+    boundary = Boundary(levels, levels, np.zeros(levels.shape, dtype=np.int64), grid)
+    with pytest.raises(ValueError, match="boundary horizon does not match the model horizon"):
+        compare_policies(dataclasses.replace(FIG, T=horizon), [Policy.from_boundary(boundary)], 0, 10, 5, seed=1)
+    compare_policies(dataclasses.replace(FIG, T=solved), [Policy.from_boundary(boundary)], 0, 10, 5, seed=1)
 
 
 def test_compare_policies_takes_one_policy_or_more():

@@ -9,7 +9,7 @@ from ultmax.boundary import extract_boundary
 from ultmax.gain import dG_dx, g_pde, gain_stencil, lg
 from ultmax.grids import Grid
 from ultmax.model import NotApplicable, RegimeModel, validate
-from ultmax.stepping import COUPLING_DT_LIMIT, REACTION_DT_LIMIT, BackwardStepper, GridTooCoarse
+from ultmax.stepping import COUPLING_DT_LIMIT, BackwardStepper, GridTooCoarse
 from ultmax.value import discrete_generator_image, solve_value, value_stencil
 
 FIG = validate(pinned.make_model(pinned.FIGURE_MODEL))
@@ -251,12 +251,9 @@ def test_lattice_properties_over_random_models(case):
     for stencil in stencils:
         assume(np.all(np.abs(stencil.advection) * grid.dz <= 2.0 * stencil.diffusion))
     coarse = float(np.max(model.jump_rates())) * grid.dt > COUPLING_DT_LIMIT
-    refused = [
-        coarse
-        or grid.dt * float(np.max(s.reaction)) >= REACTION_DT_LIMIT
-        or grid.dt * float(np.max((s.diffusion + s.advection) * s.g_edge / grid.dz + s.reaction)) >= REACTION_DT_LIMIT
-        for s in stencils
-    ]
+    # Else a stencil is refused where some row of I - dt L has a diagonal, or the rows' sum 1 - dt r, not positive.
+    refused = [coarse or any(s.implicit_rows(j, grid.dt)[1].min() <= 0.0 or 1.0 - grid.dt * s.reaction[j] <= 0.0
+                             for j in range(model.m)) for s in stencils]
     if any(refused):
         for stencil, refuse in zip(stencils, refused):
             if refuse:

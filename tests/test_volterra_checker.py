@@ -8,6 +8,7 @@ from ultmax.boundary import extract_boundary
 from ultmax.gain import dG_dx, g_monte_carlo, g_pde, lg
 from ultmax.grids import Grid
 from ultmax.model import validate
+from ultmax.strategy import Policy, compare_policies
 from ultmax.value import solve_value
 from ultmax.volterra import volterra_residual
 
@@ -52,6 +53,32 @@ def test_ratio_below_one_is_refused_by_every_estimator(fig, t, r):
         estimate_J(FIG, t, 0.5, 0, 100, seed=3)
     with pytest.raises(ValueError, match="x must be at least 1"):
         g_monte_carlo(FIG, t, 0.5, 0, 100, seed=3)
+
+
+@pytest.mark.parametrize("t", [np.nan, -1.0, -1e-300, FIG.T + 1e-9])
+def test_gain_estimate_refuses_a_start_time_outside_the_horizon(t):
+    # nan raised a KeyError from the coefficient table, and t = -1 quietly simulated 1.5 time units.
+    with pytest.raises(ValueError, match=r"t must lie in \[0, horizon = 0.5\]"):
+        g_monte_carlo(FIG, t, 1.5, 0, 100, seed=3)
+
+
+@pytest.mark.parametrize("x", [np.nan, np.inf])
+def test_gain_estimate_refuses_a_ratio_that_is_not_finite(x):
+    # Both ended in an error that blamed an overflowing sum of squares.
+    with pytest.raises(ValueError, match="x must be at least 1 and finite"):
+        g_monte_carlo(FIG, 0.1, x, 0, 100, seed=3)
+
+
+@pytest.mark.parametrize("n_paths", [0, -3])
+def test_every_simulation_refuses_a_path_count_below_one(fig, n_paths):
+    # All three raised TypeError: 'int' object is not iterable, from mean_se.
+    grid, S, boundary = fig
+    with pytest.raises(ValueError, match=f"n_paths must be at least 1, got {n_paths}"):
+        g_monte_carlo(FIG, 0.1, 1.5, 0, n_paths, seed=3)
+    with pytest.raises(ValueError, match=f"n_paths must be at least 1, got {n_paths}"):
+        compare_policies(FIG, [Policy.immediate()], 0, n_paths, 5, seed=3)
+    with pytest.raises(ValueError, match=f"n_paths must be at least 1, got {n_paths}"):
+        volterra_residual(FIG, S, boundary, n_paths, 8, seed=3, report_every=100)
 
 
 def test_golden_terminal_ratio_reproduces():
